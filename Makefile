@@ -45,10 +45,11 @@ lockdep-export:
 bench-smoke:
 	dune build @bench-smoke
 
-# Regression gate over the smoke bench: determinism + ledger invariants
-# and the op-count anchor in bench/baseline.json (see bin/bench_gate.ml).
-# The last committed BENCH_parallel.json serves as the informational
-# "previous" point.
+# Regression gate over the smoke bench: the rule list in
+# bench/baseline.json (determinism + ledger invariants, config, the
+# op-count anchor; rule format in bin/bench_gate.ml).  The last
+# committed BENCH_parallel.json serves as the informational "previous"
+# point.
 bench-gate:
 	dune exec bench/main.exe -- --smoke --out /tmp/csm_ci_bench.json
 	dune exec bin/bench_gate.exe -- --current /tmp/csm_ci_bench.json \
@@ -130,12 +131,6 @@ live-smoke:
 	grep -q '"rule":"suspicion"' /tmp/csm_ci_live_report.json
 	@echo "live-smoke: ok"
 
-# CI gate: type-check everything (tests and benches included), lint
-# the repo against its invariants, regenerate the parallel smoke
-# benchmark, run the test suite, then exercise the observability layer
-# end-to-end — a CSM_TRACE'd demo run, a traced + gated smoke bench,
-# and a metrics exposition check — so linting, tracing, metrics and
-# the bench gate are driven on every commit.
 # Adversary-synthesis smoke: regenerate the Table-2 tightness
 # certification (search at b = muN must find no violation, at
 # b = muN + 1 must find a shrunk replayable witness, twice
@@ -152,16 +147,19 @@ adversary-smoke:
 	  --replay test/fixtures/adversary_decode.json
 	@echo "adversary-smoke: ok"
 
+# CI gate: type-check everything (tests and benches included), lint
+# the repo against its invariants, regenerate the parallel smoke
+# benchmark, run the test suite, then exercise the observability layer
+# end-to-end — a CSM_TRACE'd demo run, a traced + gated smoke bench,
+# and a metrics exposition check — so linting, tracing, metrics and
+# the bench gate are driven on every commit.
 ci:
 	dune build @check @bench-smoke
 	$(MAKE) lint
 	dune runtest
 	CSM_TRACE=/tmp/csm_ci_trace.json CSM_REPORT=/tmp/csm_ci_report.json \
 	  CSM_TICKER=0 dune exec bin/csm_run.exe -- --trace --report --rounds 2
-	CSM_TRACE=/tmp/csm_ci_bench_trace.json \
-	  dune exec bench/main.exe -- --smoke --out /tmp/csm_ci_bench.json
-	dune exec bin/bench_gate.exe -- --current /tmp/csm_ci_bench.json \
-	  --previous BENCH_parallel.json --baseline bench/baseline.json
+	CSM_TRACE=/tmp/csm_ci_bench_trace.json $(MAKE) bench-gate
 	$(MAKE) rs-smoke
 	$(MAKE) metrics-smoke
 	$(MAKE) cluster-smoke

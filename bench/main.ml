@@ -19,15 +19,15 @@
 
    `main.exe --smoke [--out FILE]` skips bechamel and runs only the
    parallel smoke benchmark, writing a JSON report (BENCH_parallel.json
-   via the `bench-smoke` alias).  `main.exe --rs-smoke [--out FILE]`
-   does the same for the optimistic-decode fast path over GF(2^8)
-   (BENCH_rs.json, gated against bench/rs_baseline.json), and
-   `main.exe --obs-smoke [--out FILE]` for the observability layer's
-   allocation overhead (BENCH_obs.json, gated against
-   bench/obs_baseline.json), and `main.exe --adversary-smoke
-   [--out FILE]` for the Table-2 tightness certification
-   (BENCH_adversary.json, gated against
-   bench/adversary_baseline.json). *)
+   via the `bench-smoke` alias).  `--rs-smoke` does the same for the
+   optimistic-decode fast path over GF(2^8) (BENCH_rs.json),
+   `--obs-smoke` for the observability layer's allocation overhead
+   (BENCH_obs.json), `--live-smoke` for streaming telemetry
+   (BENCH_live.json) and `--adversary-smoke` for the Table-2 tightness
+   certification (BENCH_adversary.json).  This file only writes the
+   reports: bin/bench_gate checks each against the rule list committed
+   in bench/*baseline.json (README "Bench gates"), so the limits live
+   there, not here. *)
 
 open Bechamel
 open Toolkit
@@ -788,7 +788,8 @@ let transport_group =
 
    Wall clock would measure the CI host, so the gate runs on exact
    allocation counts instead: words per operation are deterministic for
-   a fixed code path.  Two committed ceilings (bench/obs_baseline.json):
+   a fixed code path.  Two committed ceilings (rules in
+   bench/obs_baseline.json):
 
    - disabled_overhead_words: what the observability layer adds to a
      node run with tracing OFF — one HLC read plus one flight-recorder

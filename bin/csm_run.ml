@@ -5,7 +5,9 @@
              [--trace] [--report] [--metrics] [--ticker]
 
    Runs the full protocol (consensus + coded execution + client
-   delivery) on the simulator and prints a per-round report.
+   delivery) on the simulator and prints a per-round report.  The same
+   cluster over real frames (loopback threads, Unix or TCP sockets) is
+   csm_cluster --transport.
 
    Observability: --trace writes a Chrome trace-event JSON (load in
    chrome://tracing or Perfetto) of the nested protocol/engine spans;
@@ -26,10 +28,6 @@ module P = Csm_core.Protocol.Make (CF)
 module E = P.E
 module M = E.M
 module Params = Csm_core.Params
-module Node = Csm_transport.Node
-module Cluster = Csm_transport.Cluster
-module Cl = Cluster.Make (CF)
-module Transport = Csm_transport.Transport
 module Counter = Csm_metrics.Counter
 module Ledger = Csm_metrics.Ledger
 module Scope = Csm_metrics.Scope
@@ -46,8 +44,8 @@ let network_name = function
   | Params.Sync -> "sync"
   | Params.Partial_sync -> "partial-sync"
 
-let run_report ~n ~k ~d ~b ~rounds ~network ~adversary ~seed ~transport
-    ~executed ~lambda ledger stats =
+let run_report ~n ~k ~d ~b ~rounds ~network ~adversary ~seed ~executed
+    ~lambda ledger stats =
   let role_totals =
     List.map
       (fun role ->
@@ -73,7 +71,6 @@ let run_report ~n ~k ~d ~b ~rounds ~network ~adversary ~seed ~transport
             ("network", Json.Str (network_name network));
             ("adversary", Json.Str adversary);
             ("seed", Json.Int seed);
-            ("transport", Json.Str transport);
           ] );
       ( "results",
         Json.Obj
@@ -110,104 +107,13 @@ let want_ticker () =
   | Some _ -> true
   | None -> ( try Unix.isatty Unix.stderr with Unix.Unix_error _ -> false)
 
-(* Real-transport execution: the same N/K/d/b/seed cluster over
-   loopback threads or forked socket processes, run BEFORE the parent
-   touches the domain pool (fork safety), its socket-boundary counters
-   folded into the metrics registry under the "transport" layer.  The
-   simulator run that follows is the measurement reference (λ, ops,
-   spans) — the report plumbing is untouched. *)
-let run_real_transport ~transport ~params ~rounds ~seed ~adversary ~liars =
-  let cleanup = ref None in
-  let mode =
-    match transport with
-    | "loopback" -> Cluster.Loopback
-    | "tcp" -> Cluster.Tcp 17800
-    | _ ->
-      let dir =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "csm-run-%d" (Unix.getpid ()))
-      in
-      (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      cleanup := Some dir;
-      Cluster.Uds dir
-  in
-  (* the sim adversaries' transport-level analogues: withhold → drop;
-     lie → well-formed wrong Result vectors (decode-corrected);
-     equivocate → detectably corrupt frames *)
-  let faults =
-    match adversary with
-    | "none" -> []
-    | "withhold" -> List.map (fun i -> (i, Node.Drop)) liars
-    | "lie" -> List.map (fun i -> (i, Node.Lie Node.lie_default)) liars
-    | _ -> List.map (fun i -> (i, Node.Corrupt)) liars
-  in
-  let cfg =
-    {
-      Cl.params;
-      rounds;
-      seed;
-      mode;
-      faults;
-      deadline = 5.0;
-      trace = false;
-      telemetry = false;
-      stream = None;
-      live = None;
-    }
-  in
-  let res = Cl.run cfg in
-  (match !cleanup with
-  | Some dir -> (
-    try
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      Unix.rmdir dir
-    with Sys_error _ | Unix.Unix_error _ -> ())
-  | None -> ());
-  let accepted =
-    Array.fold_left
-      (fun acc e -> if e <> None then acc + 1 else acc)
-      0 res.Cl.ledger
-  in
-  Format.printf "transport %s: %d/%d rounds accepted, verify=%s@." transport
-    accepted rounds
-    (if res.Cl.ok then "ok" else "MISMATCH");
-  let np1 = params.Params.n + 1 in
-  let arr f =
-    Array.init np1 (fun i ->
-        match res.Cl.stats.(i) with Some s -> f s | None -> 0)
-  in
-  if Metric.enabled () then begin
-    Tel.record_per_node ~layer:"transport"
-      ~sent:(arr (fun s -> s.Transport.frames_sent))
-      ~received:(arr (fun s -> s.Transport.frames_received))
-      ~bytes_sent:(arr (fun s -> s.Transport.bytes_sent))
-      ~bytes_received:(arr (fun s -> s.Transport.bytes_received));
-    Array.iteri
-      (fun i s ->
-        match s with
-        | Some s when s.Transport.frame_errors > 0 ->
-          Metric.inc ~by:s.Transport.frame_errors
-            (Tel.transport_frame_errors ~node:i)
-        | _ -> ())
-      res.Cl.stats
-  end;
-  res.Cl.ok
-
-let run n k d b rounds network adversary seed transport trace report metrics
-    ticker serve =
+let run n k d b rounds network adversary seed trace report metrics ticker
+    serve =
   let network =
     match network with
     | "partial" -> Params.Partial_sync
     | _ -> Params.Sync
   in
-  (match transport with
-  | "sim" | "loopback" | "socket" | "tcp" -> ()
-  | other ->
-    Printf.eprintf "csm_run: unknown --transport %s\n" other;
-    exit 1);
   (* env-var-only activation (CSM_TRACE / CSM_EVENTS / CSM_METRICS
      without the flags) *)
   Exporter.install ();
@@ -245,12 +151,6 @@ let run n k d b rounds network adversary seed transport trace report metrics
     with Invalid_argument msg ->
       prerr_endline msg;
       exit 1
-  in
-  let transport_ok =
-    if transport = "sim" then true
-    else
-      run_real_transport ~transport ~params ~rounds ~seed ~adversary
-        ~liars:(List.init b (fun i -> n - 1 - i))
   in
   let rng = Csm_rng.create seed in
   let init =
@@ -357,13 +257,12 @@ let run n k d b rounds network adversary seed transport trace report metrics
         | None -> "csm_report.json"
       in
       Json.write ~path
-        (run_report ~n ~k ~d ~b ~rounds ~network ~adversary ~seed ~transport
-           ~executed ~lambda ledger stats);
+        (run_report ~n ~k ~d ~b ~rounds ~network ~adversary ~seed ~executed
+           ~lambda ledger stats);
       Format.printf "report: wrote %s@." path
     end
   end;
-  Option.iter Csm_obs.Http.stop server;
-  if not transport_ok then exit 1
+  Option.iter Csm_obs.Http.stop server
 
 let () =
   let n = Arg.(value & opt int 11 & info [ "n" ] ~doc:"Nodes.") in
@@ -380,18 +279,6 @@ let () =
       & info [ "adversary" ] ~doc:"none|lie|equivocate|withhold.")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.") in
-  let transport =
-    Arg.(
-      value & opt string "sim"
-      & info [ "transport" ]
-          ~doc:
-            "Execution transport: $(b,sim) (discrete-event simulator, the \
-             default), $(b,loopback) (real frames over in-process threads), \
-             $(b,socket) (forked node processes over Unix-domain sockets) or \
-             $(b,tcp).  Non-sim transports run the cluster first and fold its \
-             socket-boundary counters into the metrics, then run the \
-             simulator as the measurement reference.")
-  in
   let trace =
     Arg.(
       value & flag
@@ -442,6 +329,6 @@ let () =
       (Cmd.info "csm_run" ~doc:"Run the networked Coded State Machine")
       Term.(
         const run $ n $ k $ d $ b $ rounds $ network $ adversary $ seed
-        $ transport $ trace $ report $ metrics $ ticker $ serve)
+        $ trace $ report $ metrics $ ticker $ serve)
   in
   exit (Cmd.eval cmd)

@@ -17,7 +17,7 @@ module Make (F : Field_intf.S) : sig
     omega_weights : F.t array;
     omega_prepared : Sub.prepared Lazy.t;
     alpha_prepared : Sub.prepared Lazy.t;
-    omega_packed : Bytes.t option Lazy.t;
+    omega_packed : Bytes.t option;
   }
 
   val create : n:int -> k:int -> t

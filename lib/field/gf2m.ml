@@ -181,58 +181,50 @@ end = struct
   (* exp/log tables over a multiplicative generator, found by search:
      g generates iff its powers enumerate all 2^m − 1 nonzero elements,
      which the filling loop itself detects (a repeat before the end, or
-     not returning to 1, rejects g). *)
+     not returning to 1, rejects g).  Built at functor application, as
+     is [batch_kernel] below: a module-level lazy forced concurrently
+     from several domains raises [Lazy.Undefined]. *)
   let tables =
-    lazy
-      (if m > 16 then None
-       else begin
-         let exp = Array.make (2 * (order - 1)) 0 in
-         let log = Array.make order (-1) in
-         let try_generator g =
-           Array.fill log 0 order (-1);
-           let x = ref 1 in
-           let ok = ref true in
-           (try
-              for i = 0 to order - 2 do
-                if log.(!x) >= 0 then begin
-                  ok := false;
-                  raise Exit
-                end;
-                exp.(i) <- !x;
-                log.(!x) <- i;
-                x := mul_slow !x g
-              done
-            with Exit -> ());
-           !ok && !x = 1
-         in
-         let rec search g =
-           if g >= order then
-             (* unreachable: the multiplicative group is cyclic *)
-             invalid_arg "Gf2m.Make: no multiplicative generator found"
-           else if try_generator g then g
-           else search (g + 1)
-         in
-         ignore (search 2);
-         (* Duplicate the exp table so that exp.(i+j) needs no mod. *)
-         for i = 0 to order - 2 do
-           exp.(i + order - 1) <- exp.(i)
-         done;
-         Some (exp, log)
-       end)
-
-  (* Fail fast: a small field must be table-backed.  [search] always
-     terminates before [order] because the group is cyclic, so this is a
-     pure safety net against table-construction bugs. *)
-  let () =
-    if m <= 16 then
-      match Lazy.force tables with
-      | Some _ -> ()
-      | None -> invalid_arg "Gf2m.Make: exp/log table construction failed"
+    if m > 16 then None
+    else begin
+      let exp = Array.make (2 * (order - 1)) 0 in
+      let log = Array.make order (-1) in
+      let try_generator g =
+        Array.fill log 0 order (-1);
+        let x = ref 1 in
+        let ok = ref true in
+        (try
+           for i = 0 to order - 2 do
+             if log.(!x) >= 0 then begin
+               ok := false;
+               raise Exit
+             end;
+             exp.(i) <- !x;
+             log.(!x) <- i;
+             x := mul_slow !x g
+           done
+         with Exit -> ());
+        !ok && !x = 1
+      in
+      let rec search g =
+        if g >= order then
+          (* unreachable: the multiplicative group is cyclic *)
+          invalid_arg "Gf2m.Make: no multiplicative generator found"
+        else if try_generator g then g
+        else search (g + 1)
+      in
+      ignore (search 2);
+      (* Duplicate the exp table so that exp.(i+j) needs no mod. *)
+      for i = 0 to order - 2 do
+        exp.(i + order - 1) <- exp.(i)
+      done;
+      Some (exp, log)
+    end
 
   let table_backed = m <= 16
 
   let mul a b =
-    match Lazy.force tables with
+    match tables with
     | Some (exp, log) ->
       if a = 0 || b = 0 then 0 else exp.(log.(a) + log.(b))
     | None -> mul_slow a b
@@ -249,7 +241,7 @@ end = struct
   let inv a =
     if a = 0 then raise Division_by_zero
     else
-      match Lazy.force tables with
+      match tables with
       | Some (exp, log) -> if a = 1 then 1 else exp.(order - 1 - log.(a))
       | None -> pow_pos a (order - 2) one
 
@@ -274,12 +266,11 @@ end = struct
      above is table-backed for these sizes, so the kernels inherit O(1)
      products. *)
   let batch_kernel =
-    lazy
-      (if m = 8 then Some (Bytes_kernel.make8 ~modulus ~mul)
-       else if m = 16 then Some (Bytes_kernel.make16 ~mul)
-       else None)
+    if m = 8 then Some (Bytes_kernel.make8 ~modulus ~mul)
+    else if m = 16 then Some (Bytes_kernel.make16 ~mul)
+    else None
 
-  let batch () = Lazy.force batch_kernel
+  let batch () = batch_kernel
 
   let pp ppf x = Format.fprintf ppf "0x%x" x
   let to_string x = Printf.sprintf "0x%x" x

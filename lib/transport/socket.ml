@@ -57,6 +57,8 @@ type peer = {
   pc : Condition.t;
   mutable fd : Unix.file_descr option;
   mutable started : bool;
+  mutable writing : bool;
+      (* a frame popped from [pq] is still being written; under [pm] *)
 }
 
 let endpoint ~addr ~id ~endpoints =
@@ -138,6 +140,7 @@ let endpoint ~addr ~id ~endpoints =
           pc = Condition.create ();
           fd = None;
           started = false;
+          writing = false;
         })
   in
   let connect_with_backoff dst =
@@ -187,10 +190,15 @@ let endpoint ~addr ~id ~endpoints =
     let rec loop () =
       let item =
         Lockdep.with_lock peer.pm (fun () ->
+            peer.writing <- false;
             while Queue.is_empty peer.pq && not !closed do
               Lockdep.wait peer.pc peer.pm
             done;
-            if Queue.is_empty peer.pq then None else Some (Queue.pop peer.pq))
+            if Queue.is_empty peer.pq then None
+            else begin
+              peer.writing <- true;
+              Some (Queue.pop peer.pq)
+            end)
       in
       match item with
       | Some bytes ->
@@ -238,12 +246,15 @@ let endpoint ~addr ~id ~endpoints =
   in
   let close () =
     if not !closed then begin
-      (* let sender threads flush their queues (bounded) *)
+      (* let sender threads flush their queues (bounded), including a
+         popped frame still in [really_write]: closing its fd mid-write
+         would truncate it on the wire *)
       let flush_deadline = Unix.gettimeofday () +. 1.0 in
       let pending () =
         Array.exists
           (fun p ->
-            Lockdep.with_lock p.pm (fun () -> not (Queue.is_empty p.pq)))
+            Lockdep.with_lock p.pm (fun () ->
+                p.writing || not (Queue.is_empty p.pq)))
           peers
       in
       while pending () && Unix.gettimeofday () < flush_deadline do

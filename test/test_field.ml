@@ -356,6 +356,57 @@ let batch_kernels () =
   Alcotest.(check bool) "gf1024 batch is None" true
     (Option.is_none (Gf2m.Gf1024.batch ()))
 
+(* A field instance's module-level values must be ready at functor
+   application: a [lazy] there, first forced concurrently from several
+   domains of the pool, raises [Lazy.Undefined].  Probe: 1000 times,
+   apply the functor afresh and touch the value from this domain and a
+   spinning helper domain at once. *)
+let no_lazy_race name fresh () =
+  let trials = 1000 in
+  let undefined = Atomic.make 0 in
+  let current = Atomic.make (fun () -> ()) in
+  let started = Atomic.make 0 and finished = Atomic.make 0 in
+  let touch f = try f () with Lazy.Undefined -> Atomic.incr undefined in
+  let helper =
+    Domain.spawn (fun () ->
+        for t = 1 to trials do
+          while Atomic.get started < t do
+            Domain.cpu_relax ()
+          done;
+          touch (Atomic.get current);
+          Atomic.incr finished
+        done)
+  in
+  for t = 1 to trials do
+    let f = fresh () in
+    Atomic.set current f;
+    Atomic.set started t;
+    touch f;
+    while Atomic.get finished < t do
+      Domain.cpu_relax ()
+    done
+  done;
+  Domain.join helper;
+  Alcotest.(check int) (name ^ ": Lazy.Undefined raised") 0
+    (Atomic.get undefined)
+
+let fresh_fp () =
+  let module F = Fp.Make (struct
+    let p = 2013265921
+  end) in
+  fun () -> ignore (F.root_of_unity 8)
+
+let fresh_gf2m8 () =
+  let module G = Gf2m.Make (struct
+    let m = 8
+    let modulus = 0
+  end) in
+  fun () -> ignore (G.batch ())
+
+let fresh_counted () =
+  let module C = Counted.Make (Gf2m.Gf256) in
+  fun () -> ignore (C.batch ())
+
 let extra_suite =
   ( "field:extra",
     [
@@ -372,6 +423,12 @@ let extra_suite =
         gf2m_aes_modulus;
       Alcotest.test_case "byte-packed batch kernels match scalar" `Quick
         batch_kernels;
+      Alcotest.test_case "Fp.root_of_unity: no lazy race across domains"
+        `Quick (no_lazy_race "Fp" fresh_fp);
+      Alcotest.test_case "Gf2m.batch: no lazy race across domains" `Quick
+        (no_lazy_race "Gf2m(8)" fresh_gf2m8);
+      Alcotest.test_case "Counted.batch: no lazy race across domains" `Quick
+        (no_lazy_race "Counted(Gf256)" fresh_counted);
     ] )
 
 let suites =

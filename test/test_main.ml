@@ -24,6 +24,7 @@ let () =
          Test_rs.suites;
          Test_parallel.suites;
          Test_obs.suites;
+         Test_gate.suites;
          Test_transport.suites;
          Test_adversary.suites;
          Test_lint.suites;

@@ -731,6 +731,35 @@ let socket_corrupt_detected () =
          done;
          !found))
 
+(* [close] must not cut a frame its sender thread is still writing:
+   send a multi-MiB frame and close at once, five times over; the live
+   reader endpoint must receive every frame intact. *)
+let socket_close_flushes_inflight_frame () =
+  let dir = Filename.temp_dir "csm_close" "" in
+  let addr = Csm_transport.Socket.Uds dir in
+  let endpoint id = Csm_transport.Socket.endpoint ~addr ~id ~endpoints:2 in
+  let reader = endpoint 1 in
+  let payload = String.init (4 lsl 20) (fun i -> Char.chr (i * 7 land 0xff)) in
+  Fun.protect
+    ~finally:(fun () ->
+      reader.Transport.close ();
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () ->
+      for round = 0 to 4 do
+        let writer = endpoint 0 in
+        writer.Transport.send ~dst:1
+          (Frame.make ~kind:Frame.Stats ~sender:0 ~round payload);
+        writer.Transport.close ();
+        match reader.Transport.recv ~timeout:5.0 with
+        | None -> Alcotest.failf "round %d: frame lost at close" round
+        | Some fr ->
+          Alcotest.(check int) "round" round fr.Frame.round;
+          Alcotest.(check bool)
+            (Printf.sprintf "round %d payload intact" round)
+            true
+            (String.equal payload fr.Frame.payload)
+      done)
+
 let suites =
   [
     ( "transport",
@@ -781,5 +810,7 @@ let suites =
           loopback_socket_equivalent_drop;
         Alcotest.test_case "socket corrupt fault detected" `Quick
           socket_corrupt_detected;
+        Alcotest.test_case "socket close flushes an in-flight frame" `Quick
+          socket_close_flushes_inflight_frame;
       ] );
   ]
