@@ -56,7 +56,7 @@ bench-gate:
 	  --previous BENCH_parallel.json --baseline bench/baseline.json
 
 # Optimistic-decode fast-path smoke: regenerate the GF(2^8) rs bench
-# (modes on / off / force-fallback) and gate its determinism, exact
+# (modes on = optimistic, off = Gao) and gate its determinism, exact
 # warm decode op count and on-vs-off speedups against
 # bench/rs_baseline.json.  The last committed BENCH_rs.json is the
 # informational "previous" point.

@@ -20,7 +20,7 @@
    `main.exe --smoke [--out FILE]` skips bechamel and runs only the
    parallel smoke benchmark, writing a JSON report (BENCH_parallel.json
    via the `bench-smoke` alias).  `--rs-smoke` does the same for the
-   optimistic-decode fast path over GF(2^8) (BENCH_rs.json),
+   optimistic-decode fast path over GF(2^8), against Gao (BENCH_rs.json),
    `--obs-smoke` for the observability layer's allocation overhead
    (BENCH_obs.json), `--live-smoke` for streaming telemetry
    (BENCH_live.json) and `--adversary-smoke` for the Table-2 tightness
@@ -476,14 +476,11 @@ let run_smoke ~out =
 
 (* A counted GF(2^8) engine at N=64: byte-packed batch kernels under
    the encoder, per-coordinate RS decoding over the received results.
-   Each mode pins the decode algorithm explicitly — the CSM_RS_FASTPATH
-   env default is deliberately not consulted — so the report compares
-   on / off / force-fallback on equal footing:
+   Each mode pins the decode algorithm explicitly, so the report
+   compares on / off on equal footing:
 
-     on             Optimistic (verify-first fast path, warm ctx)
-     off            Gao (the full error decoder on every round)
-     force_fallback Optimistic_fallback_only (fast path disabled at the
-                    decode call: measures the fallback's overhead)
+     on   Optimistic (verify-first fast path, warm ctx)
+     off  Gao (the full error decoder on every round)
 
    Op counts come from the decoder role of a per-call ledger, so they
    are exact and hardware-independent; wall-clock medians are measured
@@ -583,12 +580,7 @@ let rs_mode_stats ~algorithm =
   in
   (ops_cold, ops_warm, decode_ns, round_ns)
 
-let rs_smoke_modes =
-  [
-    ("on", E8.RS.Optimistic);
-    ("off", E8.RS.Gao);
-    ("force_fallback", E8.RS.Optimistic_fallback_only);
-  ]
+let rs_smoke_modes = [ ("on", E8.RS.Optimistic); ("off", E8.RS.Gao) ]
 
 (* decoded output of one decode at a given mode / domain width / fault
    count — must be identical everywhere within the radius *)

@@ -73,7 +73,7 @@ let replay_file path =
       | Ok () ->
         Printf.printf
           "ok    %s: %s violated %s (%s) — replayed byte-for-byte\n" path
-          (Adv.Strategy.name t.Adv.Trace.strategy)
+          (Csm_core.Strategy.name t.Adv.Trace.strategy)
           (Adv.Oracle.bound_name t.Adv.Trace.bound)
           (Adv.Oracle.violation_kind_name t.Adv.Trace.kind);
         0

@@ -25,7 +25,11 @@
    vectors that only the peers' Reed-Solomon decode catches (suspicion).
    `--faults strategy:FILE` instead loads a whole adversary strategy —
    a csm-adversary-trace/1 counterexample from csm_adversary, or bare
-   strategy JSON — and maps each searched plan onto a transport fault.
+   strategy JSON — and runs it when every plan has an exact transport
+   fault: one step, either a silence toward everyone on every round
+   (drop) or a shift / one-coordinate lie on an always, from-round,
+   single-round or periodic schedule (lie).  Any other plan is a usage
+   error naming its node and step.
 
    Live telemetry: --serve PORT / --watch / --alert / --lambda-floor
    (or CSM_TELEMETRY_INTERVAL=SEC) make the nodes stream
@@ -71,6 +75,7 @@ module Alert = Csm_obs.Alert
 module Http = Csm_obs.Http
 
 module Adv = Csm_adversary
+module Strategy = Csm_core.Strategy
 
 (* ---- --faults parsing (a cmdliner conv: bad input is a usage error
    that lists the valid kinds, exit 124) ---- *)
@@ -114,36 +119,42 @@ let parse_fault_token tok =
           (Printf.sprintf "missing fault kind for node %d; %s" node
              fault_kinds_hint)))
 
-(* A searched strategy's round schedule, coarsened to the transport
-   layer's (period, from) lie/drop schedule.  Only [r] uses a period
-   longer than any practical run so the fault fires exactly once. *)
-let schedule_of_rounds = function
-  | Adv.Strategy.Always -> (1, 0)
-  | Adv.Strategy.Only (r :: _) -> (1_000_000, max 0 r)
-  | Adv.Strategy.Only [] -> (1, 0)
-  | Adv.Strategy.From r -> (1, max 0 r)
-  | Adv.Strategy.Until _ -> (1, 0)
-  | Adv.Strategy.Every { period; phase } -> (max 1 period, max 0 phase)
-
-let fault_of_plan (p : Adv.Strategy.plan) =
-  match p.Adv.Strategy.steps with
-  | [] -> None
-  | s :: _ ->
-    let l_period, l_from = schedule_of_rounds s.Adv.Strategy.rounds in
-    let lie l_offset l_coord =
-      Node.Lie { Node.l_offset; l_coord; l_period; l_from }
+(* A strategy plan as the transport layer's fault, accepted only when
+   Node.fault expresses it exactly: one step whose action is a full
+   silence on every round (Drop), or a shift or one-coordinate lie on a
+   schedule that the (period, first round) lie schedule reproduces.
+   Anything else is an error naming the node and the step. *)
+let fault_of_plan (p : Strategy.plan) =
+  let node = p.Strategy.node in
+  let reject step why =
+    Error (Printf.sprintf "strategy node %d step %d: %s" node step why)
+  in
+  match p.Strategy.steps with
+  | [ { Strategy.rounds; act } ] -> (
+    let schedule =
+      match rounds with
+      | Strategy.Always -> Some (1, 0)
+      | Strategy.From r -> Some (1, max 0 r)
+      | Strategy.Only [ r ] when r >= 0 -> Some (max_int, r)
+      | Strategy.Every { period; phase }
+        when phase >= 0 && phase < max 1 period ->
+        Some (max 1 period, phase)
+      | Strategy.Only _ | Strategy.Until _ | Strategy.Every _ -> None
     in
-    Some
-      (match s.Adv.Strategy.act with
-      | Adv.Strategy.Silence _ -> (p.Adv.Strategy.node, Node.Drop)
-      | Adv.Strategy.Shift c -> (p.Adv.Strategy.node, lie c None)
-      | Adv.Strategy.Coord { index; delta } ->
-        (p.Adv.Strategy.node, lie delta (Some index))
-      | Adv.Strategy.Codeword _ | Adv.Strategy.Garbage _
-      | Adv.Strategy.Equivocate _ ->
-        ( p.Adv.Strategy.node,
-          Node.Lie
-            { Node.lie_default with Node.l_period = l_period; l_from } ))
+    let lie l_offset l_coord (l_period, l_from) =
+      Ok (node, Node.Lie { Node.l_offset; l_coord; l_period; l_from })
+    in
+    match (act, schedule) with
+    | Strategy.Silence [], Some (1, 0) -> Ok (node, Node.Drop)
+    | Strategy.Shift c, Some sched -> lie c None sched
+    | Strategy.Coord { index; delta }, Some sched -> lie delta (Some index) sched
+    | _, None -> reject 1 "csm_cluster faults cannot express this schedule"
+    | Strategy.Silence _, Some _ ->
+      reject 1 "only a silence toward everyone on every round is a drop"
+    | (Strategy.Codeword _ | Strategy.Garbage _ | Strategy.Equivocate _), _ ->
+      reject 1 "only silence, shift and coord actions have csm_cluster faults")
+  | [] -> reject 1 "the plan has no steps"
+  | _ :: _ :: _ -> reject 2 "csm_cluster faults run one step per node"
 
 let faults_of_strategy_file path =
   let doc =
@@ -158,12 +169,14 @@ let faults_of_strategy_file path =
           Result.map
             (fun (t : Adv.Trace.t) -> t.Adv.Trace.strategy)
             (Adv.Trace.of_json doc)
-        | None -> Adv.Strategy.of_json doc
+        | None -> Strategy.of_json doc
       in
-      Result.map
-        (fun s ->
-          List.filter_map fault_of_plan s.Adv.Strategy.plans)
-        strategy)
+      Result.bind strategy (fun s ->
+          List.fold_right
+            (fun p acc ->
+              Result.bind (fault_of_plan p) (fun f ->
+                  Result.map (List.cons f) acc))
+            s.Strategy.plans (Ok [])))
 
 let parse_faults s =
   let s = String.trim s in

@@ -39,10 +39,20 @@ module Metric = Csm_obs.Metric
 module Tel = Csm_obs.Telemetry
 module Prom = Csm_obs.Prom
 module Event = Csm_obs.Event
+module Strategy = Csm_core.Strategy
 
 let network_name = function
   | Params.Sync -> "sync"
   | Params.Partial_sync -> "partial-sync"
+
+(* --adversary names: the action every liar runs on every round. *)
+let adversary_actions =
+  [
+    ("none", None);
+    ("lie", Some (Strategy.Shift 1));
+    ("equivocate", Some (Strategy.Equivocate { seed = 0xE9 }));
+    ("withhold", Some (Strategy.Silence []));
+  ]
 
 let run_report ~n ~k ~d ~b ~rounds ~network ~adversary ~seed ~executed
     ~lambda ledger stats =
@@ -109,11 +119,6 @@ let want_ticker () =
 
 let run n k d b rounds network adversary seed trace report metrics ticker
     serve =
-  let network =
-    match network with
-    | "partial" -> Params.Partial_sync
-    | _ -> Params.Sync
-  in
   (* env-var-only activation (CSM_TRACE / CSM_EVENTS / CSM_METRICS
      without the flags) *)
   Exporter.install ();
@@ -160,11 +165,9 @@ let run n k d b rounds network adversary seed trace report metrics ticker
   let cfg = P.default_config params in
   let liars = List.init b (fun i -> n - 1 - i) in
   let adv =
-    match adversary with
-    | "lie" -> P.lying_adversary liars
-    | "equivocate" -> P.equivocating_adversary liars
-    | "withhold" -> P.withholding_adversary liars
-    | _ -> P.passive_adversary
+    match List.assoc adversary adversary_actions with
+    | None -> Strategy.honest
+    | Some act -> Strategy.uniform liars act
   in
   Format.printf "CSM: N=%d K=%d d=%d b=%d %s adversary=%s@." n k d b
     (network_name network) adversary;
@@ -271,11 +274,17 @@ let () =
   let b = Arg.(value & opt int 2 & info [ "b" ] ~doc:"Byzantine nodes.") in
   let rounds = Arg.(value & opt int 5 & info [ "rounds" ] ~doc:"Rounds.") in
   let network =
-    Arg.(value & opt string "sync" & info [ "network" ] ~doc:"sync|partial.")
+    Arg.(
+      value
+      & opt (enum [ ("sync", Params.Sync); ("partial", Params.Partial_sync) ])
+          Params.Sync
+      & info [ "network" ] ~doc:"sync|partial.")
   in
   let adversary =
     Arg.(
-      value & opt string "lie"
+      value
+      & opt (enum (List.map (fun (name, _) -> (name, name)) adversary_actions))
+          "lie"
       & info [ "adversary" ] ~doc:"none|lie|equivocate|withhold.")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.") in

@@ -33,7 +33,7 @@ let () =
   let engine = E.create ~machine ~params ~init in
   let cfg = P.default_config params in
   let liars = [ n - 1; n - 2 ] in
-  let adv = P.lying_adversary liars in
+  let adv = Csm_core.Strategy.(uniform liars (Shift 1)) in
 
   (* trades: (client, market, amount_a, amount_b); market 1 is quiet on
      odd rounds *)

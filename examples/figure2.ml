@@ -29,7 +29,7 @@ let () =
 
   (* node 2: equivocates whenever it leads the consensus phase, and adds
      +1 to every coordinate of its execution-phase result *)
-  let adv = P.lying_adversary [ 2 ] in
+  let adv = Csm_core.Strategy.(uniform [ 2 ] (Shift 1)) in
 
   Format.printf "Figure 2 scenario: K=2 machines, N=%d nodes, node 2 malicious@." n;
   Format.printf "initial balances: S_1 = 10, S_2 = 20@.@.";

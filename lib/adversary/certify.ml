@@ -4,6 +4,7 @@
    escaping the searched class. *)
 
 module Json = Csm_obs.Json
+module Strategy = Csm_core.Strategy
 
 type bound_report = {
   bound : Oracle.bound;

@@ -9,6 +9,7 @@ module F = Csm_field.Fp.Default
 module E = Csm_core.Engine.Make (F)
 module P = Csm_core.Protocol.Make (F)
 module Params = Csm_core.Params
+module Strategy = Csm_core.Strategy
 module M = E.M
 module Table2 = Csm_harness.Table2
 module Metric = Csm_obs.Metric
@@ -134,37 +135,6 @@ let eq_mat a b =
   Array.iteri (fun i row -> if not (eq_vec row b.(i)) then ok := false) a;
   !ok
 
-(* The perturbed result vector node [i] reports to [observer] in round
-   [r] under [act].  Codeword mirrors Adversary.colluding_codeword: one
-   δ(z) of degree < code_dimension shared by every colluder, evaluated
-   at the liar's own point — the consistent fake that makes the bound
-   exactly tight. *)
-let corrupt_result engine inst ~act ~node:i ~round:r ~observer:o v =
-  match act with
-  | Strategy.Silence _ -> v (* not silenced toward this observer *)
-  | Strategy.Shift c -> Array.map (fun x -> F.add x (F.of_int c)) v
-  | Strategy.Coord { index; delta } ->
-    let v' = Array.copy v in
-    if index >= 0 && index < Array.length v' then
-      v'.(index) <- F.add v'.(index) (F.of_int delta);
-    v'
-  | Strategy.Codeword { seed } ->
-    let kdim = Params.code_dimension ~k:inst.k ~d:inst.d in
-    let drng = Csm_rng.create (seed + (r * 7919)) in
-    let coeffs = Array.init kdim (fun _ -> F.random drng) in
-    let alpha = engine.E.coding.E.Coding.alphas.(i) in
-    let dv = ref F.zero in
-    for j = kdim - 1 downto 0 do
-      dv := F.add (F.mul !dv alpha) coeffs.(j)
-    done;
-    Array.map (fun x -> F.add x !dv) v
-  | Strategy.Garbage { seed } ->
-    let grng = Csm_rng.create (seed + (r * 7919) + (i * 131)) in
-    Array.map (fun _ -> F.random grng) v
-  | Strategy.Equivocate { seed } ->
-    let grng = Csm_rng.create (seed + (r * 7919) + (i * 131) + ((o + 1) * 8161)) in
-    Array.map (fun _ -> F.random grng) v
-
 (* Honest observers whose decode we audit: the lowest honest node plus
    every honest node a Silence step singles out (those see a different
    received set, so they are where equivocation/selective silence can
@@ -242,13 +212,13 @@ let check_decode ~partial inst strat =
               if is_byz i then begin
                 match Strategy.action_at strat ~node:i ~round:r with
                 | None -> received := (i, g.(i)) :: !received
-                | Some act ->
-                  if Strategy.silent_toward act ~observer:o then
-                    signal := !signal +. 0.25
-                  else
-                    received :=
-                      (i, corrupt_result engine inst ~act ~node:i ~round:r ~observer:o g.(i))
-                      :: !received
+                | Some act -> (
+                  match
+                    E.corrupt_result engine act ~node:i ~round:r ~observer:o
+                      g.(i)
+                  with
+                  | None -> signal := !signal +. 0.25
+                  | Some v -> received := (i, v) :: !received)
               end
               else if i <> o && !stalled > 0 then
                 (* stall the highest-id honest results *)
@@ -286,43 +256,35 @@ let check_decode ~partial inst strat =
   in
   { verdict; signal = !signal }
 
+(* One output-delivery round: every node reports the machine output
+   [truth] to the client, which is observer [n] (the cluster's client
+   endpoint); Byzantine reports go through the engine's interpreter, so
+   a silence toward the client withholds the report. *)
 let check_output inst strat =
   let truth = [| F.of_int 7 |] in
   let threshold = inst.b + 1 in
-  let byz = Strategy.byz_nodes strat in
+  let machine = M.degree_machine 1 in
+  let engine =
+    E.create ~machine
+      ~params:(Params.make ~network:Params.Sync ~n:inst.n ~k:1 ~d:1 ~b:0)
+      ~init:[| Array.make machine.M.state_dim F.zero |]
+  in
   let signal = ref 0.0 in
   let responses =
     List.filter_map
       (fun i ->
-        if not (List.mem i byz) then Some truth
-        else
-          match Strategy.action_at strat ~node:i ~round:0 with
-          | None -> Some truth
-          | Some (Strategy.Silence _) ->
+        match Strategy.action_at strat ~node:i ~round:0 with
+        | None -> Some truth
+        | Some act -> (
+          match
+            E.corrupt_result engine act ~node:i ~round:0 ~observer:inst.n truth
+          with
+          | None ->
             signal := !signal +. 0.25;
             None
-          | Some (Strategy.Shift c) ->
-            signal := !signal +. 1.0;
-            Some (Array.map (fun x -> F.add x (F.of_int c)) truth)
-          | Some (Strategy.Coord { index; delta }) ->
-            signal := !signal +. 1.0;
-            let v = Array.copy truth in
-            if index >= 0 && index < Array.length v then
-              v.(index) <- F.add v.(index) (F.of_int delta);
-            Some v
-          | Some (Strategy.Codeword { seed }) ->
-            (* the shared colluding lie: same seed → same vector *)
-            signal := !signal +. 1.0;
-            let r = Csm_rng.create (0xD0 + seed) in
-            Some (Array.map (fun x -> F.add x (F.random r)) truth)
-          | Some (Strategy.Garbage { seed }) ->
-            signal := !signal +. 1.0;
-            let r = Csm_rng.create (seed + (i * 131)) in
-            Some (Array.map (fun _ -> F.random r) truth)
-          | Some (Strategy.Equivocate { seed }) ->
-            signal := !signal +. 1.0;
-            let r = Csm_rng.create (seed + (i * 131) + 7) in
-            Some (Array.map (fun _ -> F.random r) truth))
+          | Some v ->
+            if not (eq_vec v truth) then signal := !signal +. 1.0;
+            Some v))
       (List.init inst.n (fun i -> i))
   in
   let verdict =

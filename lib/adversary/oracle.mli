@@ -56,7 +56,7 @@ type result = {
           never part of the verdict. *)
 }
 
-val check : bound -> instance -> Strategy.t -> result
+val check : bound -> instance -> Csm_core.Strategy.t -> result
 (** Deterministic: same bound, instance and strategy always produce the
     same result.  Runs with metrics disabled so decoder-suspicion state
     accumulated elsewhere cannot leak into verdicts. *)

@@ -5,6 +5,7 @@
 
 module Metric = Csm_obs.Metric
 module Tel = Csm_obs.Telemetry
+module Strategy = Csm_core.Strategy
 
 type schedule = Exhaustive | Random | Greedy
 

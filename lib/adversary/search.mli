@@ -1,17 +1,17 @@
 (** The exploration driver: run candidate strategies from one of three
     schedules through an {!Oracle} and collect violations.
 
-    - [Exhaustive] walks {!Strategy.enumerate}'s bounded class in its
+    - [Exhaustive] walks {!Csm_core.Strategy.enumerate}'s bounded class in its
       deterministic order and reports [exhausted = true] when the whole
       class fit in the budget — the premise of the at-bound safety
       certificate.
-    - [Random] draws heterogeneous strategies from {!Strategy.random}.
+    - [Random] draws heterogeneous strategies from {!Csm_core.Strategy.random}.
     - [Greedy] keeps a small elite by oracle signal (corrected decoder
       errors, withheld symbols, stalled nodes) and escalates it with
-      {!Strategy.mutate} — strategies that raise suspicion get refined.
+      {!Csm_core.Strategy.mutate} — strategies that raise suspicion get refined.
 
     Every schedule is deterministic in ([seed], [budget]); duplicates
-    (by {!Strategy.key}) are evaluated once. *)
+    (by {!Csm_core.Strategy.key}) are evaluated once. *)
 
 type schedule = Exhaustive | Random | Greedy
 
@@ -20,7 +20,7 @@ val schedule_of_name : string -> (schedule, string) result
 
 type outcome = {
   candidates : int;  (** oracle evaluations actually performed *)
-  witnesses : (Strategy.t * Oracle.result) list;
+  witnesses : (Csm_core.Strategy.t * Oracle.result) list;
       (** violating strategies, in discovery order *)
   exhausted : bool;
       (** [Exhaustive] only: the whole class fit within the budget *)

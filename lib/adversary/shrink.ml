@@ -7,7 +7,7 @@
 module Metric = Csm_obs.Metric
 module Tel = Csm_obs.Telemetry
 
-open Strategy
+open Csm_core.Strategy
 
 (* one-step-simpler variants of an action, preferred first *)
 let simpler_actions = function

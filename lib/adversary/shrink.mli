@@ -7,11 +7,11 @@
     deterministically — the same witness always shrinks to the same
     canonical trace. *)
 
-val candidates : Strategy.t -> Strategy.t list
+val candidates : Csm_core.Strategy.t -> Csm_core.Strategy.t list
 (** All single-move simplifications, most aggressive first (exposed for
     tests). *)
 
-val shrink : still_fails:(Strategy.t -> bool) -> Strategy.t -> Strategy.t * int
+val shrink : still_fails:(Csm_core.Strategy.t -> bool) -> Csm_core.Strategy.t -> Csm_core.Strategy.t * int
 (** [(minimal, accepted_steps)].  [still_fails] must hold for the input;
     every intermediate accepted strategy also satisfies it.  Bounded
     (at most a few hundred predicate calls); increments

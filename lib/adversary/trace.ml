@@ -3,6 +3,7 @@
    committed fixtures are compared byte-for-byte on replay. *)
 
 module Json = Csm_obs.Json
+module Strategy = Csm_core.Strategy
 
 let schema = "csm-adversary-trace/1"
 

@@ -20,7 +20,7 @@ type provenance = {
 type t = {
   bound : Oracle.bound;
   instance : Oracle.instance;
-  strategy : Strategy.t;
+  strategy : Csm_core.Strategy.t;
   kind : Oracle.violation_kind;
   detail : string;
   search : provenance;

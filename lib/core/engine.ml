@@ -103,10 +103,9 @@ module Make (F : Field_intf.S) = struct
   (* Step 4: decode from the received results ((node, vector) pairs;
      missing nodes model withholding).  Attributed to [role].
 
-     The algorithm defaults to [RS.default_algorithm] (CSM_RS_FASTPATH):
-     the optimistic modes share one [RS.fast_ctx] across all coordinates
-     and rounds, cached on the engine and rebuilt only when the set of
-     reporting nodes changes.
+     The algorithm defaults to [RS.Optimistic], which shares one
+     [RS.fast_ctx] across all coordinates and rounds, cached on the
+     engine and rebuilt only when the set of reporting nodes changes.
 
      The [dim] coordinates are independent Reed–Solomon instances, so
      they decode across the domain pool (chunk 1: one decode is the
@@ -115,11 +114,9 @@ module Make (F : Field_intf.S) = struct
      the decoded record is bit-identical for any domain count.  All
      coordinates are decoded even after one fails, keeping the work (and
      the operation counts) independent of scheduling. *)
-  let decode_results ?(scope = Scope.null) ?(role = "decoder") ?algorithm t
-      (received : (int * F.t array) list) : decoded option =
-    let algorithm =
-      match algorithm with Some a -> a | None -> RS.default_algorithm ()
-    in
+  let decode_results ?(scope = Scope.null) ?(role = "decoder")
+      ?(algorithm = RS.Optimistic) t (received : (int * F.t array) list) :
+      decoded option =
     Span.with_ ~ops:scope.Scope.ops ~name:"engine.decode" (fun () ->
     scope.Scope.run ~role (fun () ->
         let dim = result_dim t in
@@ -139,8 +136,7 @@ module Make (F : Field_intf.S) = struct
         in
         let ctx =
           match algorithm with
-          | RS.Optimistic | RS.Optimistic_fallback_only
-            when Array.length xs >= kdim -> (
+          | RS.Optimistic when Array.length xs >= kdim -> (
             match t.rs_ctx with
             | Some (pxs, c) when xs_equal pxs xs -> Some c
             | _ ->
@@ -200,6 +196,48 @@ module Make (F : Field_intf.S) = struct
 
   let default_corruption : corruption =
    fun ~node:_ g -> Array.map (fun v -> F.add v F.one) g
+
+  (* The adversary interpreter: the vector node [node], following [act]
+     in [round], sends [observer] in place of its correct vector [v];
+     [None] when the action withholds from that observer.  Codeword is
+     the colluding attack: one δ(z) of degree < code_dimension, seeded
+     per round and shared by every colluder, evaluated at the liar's own
+     point — the consistent fake that makes the Table-2 bound exactly
+     tight.  The seed arithmetic is part of the committed adversary
+     fixtures' replay contract. *)
+  let corrupt_result t (act : Strategy.action) ~node ~round ~observer v =
+    if Strategy.silent_toward act ~observer then None
+    else
+      Some
+        (match act with
+        | Strategy.Silence _ -> v
+        | Strategy.Shift c -> Array.map (fun x -> F.add x (F.of_int c)) v
+        | Strategy.Coord { index; delta } ->
+          let v' = Array.copy v in
+          if index >= 0 && index < Array.length v' then
+            v'.(index) <- F.add v'.(index) (F.of_int delta);
+          v'
+        | Strategy.Codeword { seed } ->
+          let kdim =
+            Params.code_dimension ~k:t.params.Params.k ~d:t.params.Params.d
+          in
+          let drng = Csm_rng.create (seed + (round * 7919)) in
+          let coeffs = Array.init kdim (fun _ -> F.random drng) in
+          let alpha = t.coding.Coding.alphas.(node) in
+          let dv = ref F.zero in
+          for j = kdim - 1 downto 0 do
+            dv := F.add (F.mul !dv alpha) coeffs.(j)
+          done;
+          Array.map (fun x -> F.add x !dv) v
+        | Strategy.Garbage { seed } ->
+          let grng = Csm_rng.create (seed + (round * 7919) + (node * 131)) in
+          Array.map (fun _ -> F.random grng) v
+        | Strategy.Equivocate { seed } ->
+          let grng =
+            Csm_rng.create
+              (seed + (round * 7919) + (node * 131) + ((observer + 1) * 8161))
+          in
+          Array.map (fun _ -> F.random grng) v)
 
   type round_report = {
     decoded : decoded option;  (* None = decoding failed (too many faults) *)

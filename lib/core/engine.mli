@@ -51,11 +51,10 @@ module Make (F : Field_intf.S) : sig
     decoded option
   (** Noisy-interpolation decoding of received (node, gᵢ) results;
       [None] when any coordinate exceeds the decoding radius.  The
-      algorithm defaults to [RS.default_algorithm ()] (CSM_RS_FASTPATH):
-      optimistic modes reuse the engine-cached [rs_ctx] across
-      coordinates and rounds and pass nodes with accumulated
-      csm_node_suspicion as erasure candidates for the decoder's last
-      resort. *)
+      algorithm defaults to [RS.Optimistic], which reuses the
+      engine-cached [rs_ctx] across coordinates and rounds and passes
+      nodes with accumulated csm_node_suspicion as erasure candidates
+      for the decoder's last resort. *)
 
   val node_update_state :
     ?scope:Scope.t -> t -> node:int -> next_states:F.t array array -> unit
@@ -63,6 +62,20 @@ module Make (F : Field_intf.S) : sig
   type corruption = node:int -> F.t array -> F.t array
 
   val default_corruption : corruption
+
+  val corrupt_result :
+    t ->
+    Strategy.action ->
+    node:int ->
+    round:int ->
+    observer:int ->
+    F.t array ->
+    F.t array option
+  (** The one adversary interpreter: the vector [node] sends [observer]
+      in [round] when it follows the action instead of sending its
+      correct vector; [None] when the action withholds from [observer].
+      Deterministic: the randomized actions seed from the action's seed,
+      the round, the node and (for [Equivocate]) the observer. *)
 
   type round_report = {
     decoded : decoded option;

@@ -57,57 +57,25 @@ module Make (F : Field_intf.S) = struct
       early_decode = false;
     }
 
-  (* What a Byzantine node sends to [dst] in the execution phase, given
-     the correct result; [None] withholds.  Equivocation: the function
-     may depend on [dst]. *)
-  type adversary = {
-    byzantine : int -> bool;
-    exec_message : node:int -> dst:int -> F.t array -> F.t array option;
-    consensus_equivocate : bool;  (* Byzantine leaders equivocate *)
-    client_lie : node:int -> F.t array -> F.t array;
-        (* corrupted per-machine output sent to clients *)
-  }
+  (* The phase rule, stated once.  A node is Byzantine when the
+     strategy gives it a plan; its plan's active step decides what it
+     does in a round ([None]: it follows the protocol that round).
+     - Dolev–Strong consensus: a Byzantine leader whose action is
+       anything but [Silence] equivocates; every other Byzantine node is
+       silent.
+     - PBFT consensus: Byzantine nodes are silent.
+     - Execution: each destination gets {!E.corrupt_result}'s vector.
+     - Client delivery: each per-machine output goes through the same
+       interpreter, the client being observer [n] (the cluster's client
+       endpoint); a silence toward it withholds the output. *)
+  let byzantine adv i = List.mem i (Strategy.byz_nodes adv)
 
-  let passive_adversary =
-    {
-      byzantine = (fun _ -> false);
-      exec_message = (fun ~node:_ ~dst:_ g -> Some g);
-      consensus_equivocate = false;
-      client_lie = (fun ~node:_ y -> y);
-    }
-
-  (* The default active adversary: [liars] corrupt uniformly (add one),
-     equivocate in consensus when leading, and lie to clients. *)
-  let lying_adversary liars =
-    {
-      byzantine = (fun i -> List.mem i liars);
-      exec_message =
-        (fun ~node:_ ~dst:_ g -> Some (Array.map (fun v -> F.add v F.one) g));
-      consensus_equivocate = true;
-      client_lie = (fun ~node:_ y -> Array.map (fun v -> F.add v F.one) y);
-    }
-
-  (* An equivocating execution-phase adversary: sends the correct vector
-     to even-numbered peers and a corrupted one to odd-numbered peers. *)
-  let equivocating_adversary liars =
-    {
-      byzantine = (fun i -> List.mem i liars);
-      exec_message =
-        (fun ~node:_ ~dst g ->
-          if dst mod 2 = 0 then Some g
-          else Some (Array.map (fun v -> F.add v F.one) g));
-      consensus_equivocate = true;
-      client_lie = (fun ~node:_ y -> Array.map (fun v -> F.add v F.one) y);
-    }
-
-  (* A withholding adversary (relevant for partial synchrony). *)
-  let withholding_adversary liars =
-    {
-      byzantine = (fun i -> List.mem i liars);
-      exec_message = (fun ~node:_ ~dst:_ _ -> None);
-      consensus_equivocate = false;
-      client_lie = (fun ~node:_ y -> Array.map (fun v -> F.add v F.one) y);
-    }
+  (* What Byzantine node [node] sends [observer] in [round] in place of
+     its correct vector [v]. *)
+  let sent engine adv ~node ~round ~observer v =
+    match Strategy.action_at adv ~node ~round with
+    | None -> Some v
+    | Some act -> E.corrupt_result engine act ~node ~round ~observer v
 
   (* ----- Consensus phase ----- *)
 
@@ -115,6 +83,18 @@ module Make (F : Field_intf.S) = struct
     | Agreed of F.t array array
     | Skipped  (* honest nodes agreed on ⊥ *)
     | Disagreement  (* protocol violation: honest nodes split *)
+
+  (* The honest nodes' common decision [s].  Validity (Section 2.1):
+     honest nodes accept only proposals drawn from commands actually
+     submitted by clients; a fabricated proposal is consistently
+     rejected and the round skipped. *)
+  let agreed ~validate p ~commands s =
+    let dim = match commands with [||] -> 0 | _ -> Array.length commands.(0) in
+    if not (validate s) then Skipped
+    else
+      match W.decode_commands ~k:p.Params.k ~dim s with
+      | Some cmds -> Agreed cmds
+      | None -> Skipped
 
   let consensus_sync ?(validate = fun _ -> true) cfg ~round ~leader ~commands
       adv =
@@ -131,21 +111,24 @@ module Make (F : Field_intf.S) = struct
     in
     let proposal = W.encode_commands commands in
     let byz i =
-      if not (adv.byzantine i) then None
-      else if i = leader && adv.consensus_equivocate then
-        (* propose two different command vectors *)
-        let alt =
-          Array.map (Array.map (fun v -> F.add v F.one)) commands
-        in
-        Some
-          (DS.equivocating_leader ds_cfg ~me:i ~value_a:proposal
-             ~value_b:(W.encode_commands alt))
-      else Some Net.silent
+      if not (byzantine adv i) then None
+      else
+        match Strategy.action_at adv ~node:i ~round with
+        | Some (Strategy.Silence _) | None -> Some Net.silent
+        | Some _ when i = leader ->
+          (* propose two different command vectors *)
+          let alt =
+            Array.map (Array.map (fun v -> F.add v F.one)) commands
+          in
+          Some
+            (DS.equivocating_leader ds_cfg ~me:i ~value_a:proposal
+               ~value_b:(W.encode_commands alt))
+        | Some _ -> Some Net.silent
     in
     let { DS.decisions; _ } = DS.run ds_cfg ~proposal ~byzantine:byz () in
     let honest =
       List.filter_map
-        (fun i -> if adv.byzantine i then None else Some decisions.(i))
+        (fun i -> if byzantine adv i then None else Some decisions.(i))
         (List.init p.Params.n (fun i -> i))
     in
     match honest with
@@ -155,24 +138,7 @@ module Make (F : Field_intf.S) = struct
       else begin
         match first with
         | DS.Bot -> Skipped
-        | DS.Decided s ->
-          (* Validity (Section 2.1): honest nodes accept only proposals
-             drawn from commands actually submitted by clients; a
-             fabricated proposal is consistently rejected and the round
-             skipped. *)
-          if not (validate s) then Skipped
-          else begin
-            match
-              W.decode_commands ~k:p.Params.k
-                ~dim:
-                  (match commands with
-                  | [||] -> 0
-                  | _ -> Array.length commands.(0))
-                s
-            with
-            | Some cmds -> Agreed cmds
-            | None -> Skipped
-          end
+        | DS.Decided s -> agreed ~validate p ~commands s
       end
 
   let consensus_partial_sync ?(validate = fun _ -> true) cfg ~round ~commands
@@ -195,12 +161,13 @@ module Make (F : Field_intf.S) = struct
     let { Pbft.decisions; _ } =
       Pbft.run pbft_cfg
         ~proposals:(fun _ -> Some proposal)
-        ~byzantine:(fun i -> if adv.byzantine i then Some Net.silent else None)
+        ~byzantine:(fun i ->
+          if byzantine adv i then Some Net.silent else None)
         ~latency ~max_time:5_000_000 ()
     in
     let honest =
       List.filter_map
-        (fun i -> if adv.byzantine i then None else decisions.(i))
+        (fun i -> if byzantine adv i then None else decisions.(i))
         (List.init p.Params.n (fun i -> i))
     in
     match honest with
@@ -208,19 +175,7 @@ module Make (F : Field_intf.S) = struct
     | first :: rest ->
       if not (List.for_all (fun d -> String.equal d first) rest) then
         Disagreement
-      else if not (validate first) then Skipped
-      else begin
-        match
-          W.decode_commands ~k:p.Params.k
-            ~dim:
-              (match commands with
-              | [||] -> 0
-              | _ -> Array.length commands.(0))
-            first
-        with
-        | Some cmds -> Agreed cmds
-        | None -> Skipped
-      end
+      else agreed ~validate p ~commands first
 
   (* ----- Execution phase ----- *)
 
@@ -232,7 +187,8 @@ module Make (F : Field_intf.S) = struct
      completion time into [decode_times]. *)
   let execution_phase ?(scope = Scope.null)
       ?(latency_override : Net.latency option)
-      ?(decode_times : int array option) cfg (engine : E.t) ~commands adv =
+      ?(decode_times : int array option) cfg (engine : E.t) ~round ~commands
+      adv =
     Span.with_ ~ops:scope.Scope.ops ~name:"exec.phase" (fun () ->
     let p = cfg.params in
     let n = p.Params.n and b = p.Params.b in
@@ -268,23 +224,22 @@ module Make (F : Field_intf.S) = struct
           let try_decode now =
             if not decode_attempted.(i) then begin
               decode_attempted.(i) <- true;
-              (* algorithm defaults to RS.default_algorithm (), so the
-                 CSM_RS_FASTPATH optimistic fast path governs the
-                 simulated nodes exactly as it does the socket runtime *)
+              (* the engine's default decoder (optimistic fast path), the
+                 same one the socket runtime's nodes run *)
               decoded.(i) <- E.decode_results ~scope engine !received;
               match decode_times with
               | Some times -> times.(i) <- now
               | None -> ()
             end
           in
-          if adv.byzantine i then
+          if byzantine adv i then
             {
               Net.init =
                 (fun api ->
                   let g = computed.(i) in
                   for dst = 0 to n - 1 do
                     if dst <> i then
-                      match adv.exec_message ~node:i ~dst g with
+                      match sent engine adv ~node:i ~round ~observer:dst g with
                       | Some g' -> api.Net.send dst (Result g')
                       | None -> ()
                   done);
@@ -450,11 +405,11 @@ module Make (F : Field_intf.S) = struct
         delivered = Array.make p.Params.k None;
       }
     | Agreed commands ->
-      let per_node = execution_phase ~scope cfg engine ~commands adv in
+      let per_node = execution_phase ~scope cfg engine ~round ~commands adv in
       (* all honest nodes must decode identically *)
       let honest_results =
         List.filter_map
-          (fun i -> if adv.byzantine i then None else per_node.(i))
+          (fun i -> if byzantine adv i then None else per_node.(i))
           (List.init n (fun i -> i))
       in
       let equal_decoded (a : E.decoded) (b : E.decoded) =
@@ -482,18 +437,20 @@ module Make (F : Field_intf.S) = struct
             done);
         engine.E.round_index <- engine.E.round_index + 1
       | None -> ());
-      (* client delivery: each node sends Ŷ_k; byz nodes lie *)
+      (* client delivery: each node sends Ŷ_k; byz nodes lie or
+         withhold *)
       let delivered =
         match decoded with
         | None -> Array.make p.Params.k None
         | Some d ->
           Array.init p.Params.k (fun m ->
               let responses =
-                List.map
+                List.filter_map
                   (fun i ->
-                    if adv.byzantine i then
-                      adv.client_lie ~node:i d.E.outputs.(m)
-                    else d.E.outputs.(m))
+                    if byzantine adv i then
+                      sent engine adv ~node:i ~round ~observer:n
+                        d.E.outputs.(m)
+                    else Some d.E.outputs.(m))
                   (List.init n (fun i -> i))
               in
               vote ~threshold:(b + 1) responses)

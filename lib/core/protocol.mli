@@ -1,6 +1,15 @@
 (** The full networked CSM protocol: consensus phase (Dolev–Strong or
     PBFT) + coded execution phase over the simulator, with client-side
-    output delivery (Figure 1 / Section 2.1 of the paper). *)
+    output delivery (Figure 1 / Section 2.1 of the paper).
+
+    The adversary is a {!Strategy.t}.  A node with a plan is Byzantine,
+    and its plan's active step in a round acts in every phase: a
+    Dolev–Strong leader with any non-[Silence] action equivocates (every
+    other Byzantine node is silent in consensus, and all are under
+    PBFT); in execution each destination receives
+    {!Engine.Make.corrupt_result}'s vector; at client delivery each
+    per-machine output goes through the same interpreter with the client
+    as observer [n], so a silence toward it withholds the output. *)
 
 module Field_intf = Csm_field.Field_intf
 module Auth = Csm_crypto.Auth
@@ -23,21 +32,6 @@ module Make (F : Field_intf.S) : sig
 
   val default_config : Params.t -> config
 
-  type adversary = {
-    byzantine : int -> bool;
-    exec_message : node:int -> dst:int -> F.t array -> F.t array option;
-        (** per-destination execution-phase message ([None] withholds) *)
-    consensus_equivocate : bool;
-    client_lie : node:int -> F.t array -> F.t array;
-  }
-
-  val passive_adversary : adversary
-  val lying_adversary : int list -> adversary
-  val equivocating_adversary : int list -> adversary
-  (** Correct vectors to even peers, corrupted to odd peers. *)
-
-  val withholding_adversary : int list -> adversary
-
   type consensus_outcome =
     | Agreed of F.t array array
     | Skipped
@@ -49,11 +43,13 @@ module Make (F : Field_intf.S) : sig
     ?decode_times:int array ->
     config ->
     E.t ->
+    round:int ->
     commands:F.t array array ->
-    adversary ->
+    Strategy.t ->
     E.decoded option array
   (** Per-node decode results after the simulated execution phase
-      (Byzantine slots are [None]).  [decode_times.(i)] receives the
+      (Byzantine slots are [None]); [round] selects the strategy's
+      active steps.  [decode_times.(i)] receives the
       simulation time at which honest node [i] decoded.  When tracing is
       enabled the phase emits "exec.phase" with "exec.encode",
       "exec.compute" and "exec.deliver" sub-spans. *)
@@ -76,7 +72,7 @@ module Make (F : Field_intf.S) : sig
     E.t ->
     round:int ->
     commands:F.t array array ->
-    adversary ->
+    Strategy.t ->
     round_outcome
   (** [validate] is applied by honest nodes to the agreed wire value
       (the Validity property); rejection skips the round consistently. *)
@@ -88,7 +84,7 @@ module Make (F : Field_intf.S) : sig
     E.t ->
     workload:(int -> F.t array array) ->
     rounds:int ->
-    adversary ->
+    Strategy.t ->
     round_outcome list
   (** [progress] is invoked after each round completes (live tickers /
       logging); it does not affect the protocol. *)
@@ -116,7 +112,7 @@ module Make (F : Field_intf.S) : sig
     E.t ->
     submissions:(int -> submission list array) ->
     rounds:int ->
-    adversary ->
+    Strategy.t ->
     client_run
   (** Full client layer: per-round per-machine submissions enter shared
       pools; leaders propose pool heads; honest nodes enforce Validity;

@@ -40,6 +40,9 @@ let make plans =
   { plans = List.sort (fun a b -> Int.compare a.node b.node) plans }
 
 let honest = { plans = [] }
+
+let uniform ?(rounds = Always) nodes act =
+  make (List.map (fun node -> { node; steps = [ { rounds; act } ] }) nodes)
 let byz_nodes t = List.map (fun p -> p.node) t.plans
 let size t = List.length t.plans
 
@@ -323,8 +326,7 @@ let enumerate ~n ~rounds_total ~max_nodes =
     (Seq.map
        (fun nodes ->
          Seq.map
-           (fun atom ->
-             make (List.map (fun node -> { node; steps = [ atom ] }) nodes))
+           (fun atom -> uniform ~rounds:atom.rounds nodes atom.act)
            (List.to_seq atoms))
        (subsets_upto ~pool ~max_nodes))
 

@@ -1,6 +1,8 @@
 (** The Byzantine strategy DSL: plain, serializable data composing
-    per-node, per-round behaviors — the search space of the adversary
-    synthesis engine.
+    per-node, per-round behaviors.  It is the one adversary vocabulary:
+    the simulator protocol ({!Protocol}), the bound oracles and the
+    adversary synthesis engine all run these plans, and
+    {!Engine.Make.corrupt_result} is their single interpreter.
 
     A strategy is a set of node plans; each plan is an ordered list of
     steps, and the first step whose round schedule matches the current
@@ -43,6 +45,11 @@ val make : plan list -> t
     by node id. *)
 
 val honest : t
+
+val uniform : ?rounds:rounds -> int list -> action -> t
+(** Every listed node runs one step: [act] on [rounds] (default
+    [Always]). *)
+
 val byz_nodes : t -> int list
 val size : t -> int
 (** Number of Byzantine nodes. *)

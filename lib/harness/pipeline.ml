@@ -59,8 +59,8 @@ let measure_execution cfg engine ~commands =
   let n = cfg.P.params.Params.n in
   let times = Array.make n 0 in
   ignore
-    (P.execution_phase ~decode_times:times cfg engine ~commands
-       P.passive_adversary);
+    (P.execution_phase ~decode_times:times cfg engine ~round:0 ~commands
+       Csm_core.Strategy.honest);
   Array.fold_left max 0 times
 
 let run ?(rounds = 10) ?(n = 11) ?(k = 3) ?(d = 2) ?(b = 2) () =

@@ -55,7 +55,6 @@ let run_point ~seed ~n ~k ~d ~b ~stragglers ~tail =
         Array.init machine.M.input_dim (fun _ -> F.random rng))
   in
   let delta = 10 in
-  let adv = P.passive_adversary in
   let measure ~early =
     let engine = E.create ~machine ~params ~init in
     let cfg =
@@ -68,7 +67,7 @@ let run_point ~seed ~n ~k ~d ~b ~stragglers ~tail =
     let times = Array.make n max_int in
     let per_node =
       P.execution_phase ~latency_override:latency ~decode_times:times cfg
-        engine ~commands adv
+        engine ~round:0 ~commands Csm_core.Strategy.honest
     in
     let honest_times =
       List.filteri (fun i _ -> times.(i) < max_int) (Array.to_list times)

@@ -5,7 +5,7 @@
 
 open Alcotest
 module Adv = Csm_adversary
-module Strategy = Adv.Strategy
+module Strategy = Csm_core.Strategy
 module Oracle = Adv.Oracle
 module Search = Adv.Search
 module Shrink = Adv.Shrink
@@ -266,6 +266,65 @@ let faults_strategy_file () =
       in
       check int "missing file is a usage error" 124 rc_missing)
 
+(* --faults strategy:FILE accepts only plans that a transport fault
+   expresses exactly; every other plan is a usage error (exit 124) that
+   names the offending node and step, and a lie on a periodic schedule
+   runs as the scheduled Lie fault *)
+let faults_strategy_exact () =
+  let strat = Filename.temp_file "csm_adv_exact" ".json" in
+  let err = Filename.temp_file "csm_adv_exact" ".err" in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Sys.remove strat with Sys_error _ -> ());
+      try Sys.remove err with Sys_error _ -> ())
+    (fun () ->
+      let run steps =
+        Json.write ~path:strat
+          (Strategy.to_json (Strategy.make [ { Strategy.node = 2; steps } ]));
+        run_cluster
+          (Printf.sprintf
+             "-n 3 -k 1 -d 1 -b 1 --rounds 2 --seed 7 --faults strategy:%s"
+             (Filename.quote strat))
+          ~stderr_to:err
+      in
+      let step rounds act = { Strategy.rounds; act } in
+      let always = Strategy.Always in
+      List.iter
+        (fun (what, steps, needle) ->
+          check int (what ^ ": usage error") 124 (run steps);
+          let msg = read_file err in
+          checkb (what ^ ": names the node and step") true
+            (contains ~needle msg))
+        [
+          ("until", [ step (Strategy.Until 1) (Strategy.Shift 1) ],
+           "node 2 step 1");
+          ("only []", [ step (Strategy.Only []) (Strategy.Shift 1) ],
+           "node 2 step 1");
+          ("only two rounds",
+           [ step (Strategy.Only [ 0; 1 ]) (Strategy.Shift 1) ],
+           "node 2 step 1");
+          ("selective silence", [ step always (Strategy.Silence [ 0 ]) ],
+           "node 2 step 1");
+          ("scheduled silence", [ step (Strategy.From 1) (Strategy.Silence []) ],
+           "node 2 step 1");
+          ("codeword", [ step always (Strategy.Codeword { seed = 1 }) ],
+           "node 2 step 1");
+          ("garbage", [ step always (Strategy.Garbage { seed = 1 }) ],
+           "node 2 step 1");
+          ("equivocate", [ step always (Strategy.Equivocate { seed = 1 }) ],
+           "node 2 step 1");
+          ("second step",
+           [ step always (Strategy.Shift 1); step always (Strategy.Shift 2) ],
+           "node 2 step 2");
+        ];
+      check int "periodic coordinate lie runs and verifies" 0
+        (run
+           [
+             step
+               (Strategy.Every { period = 2; phase = 1 })
+               (Strategy.Coord { index = 0; delta = 3 });
+           ]))
+
 let suites =
   [
     ( "adversary",
@@ -292,5 +351,7 @@ let suites =
         test_case "--faults lists kinds on bad input" `Quick faults_usage_error;
         test_case "--faults strategy:FILE drives the cluster" `Quick
           faults_strategy_file;
+        test_case "--faults strategy:FILE rejects inexact plans" `Quick
+          faults_strategy_exact;
       ] );
   ]

@@ -36,7 +36,7 @@ let liveness_and_attribution () =
         else [])
   in
   let rounds = 6 in
-  let run = P.run_with_clients cfg engine ~submissions ~rounds P.passive_adversary in
+  let run = P.run_with_clients cfg engine ~submissions ~rounds Strategy.honest in
   Alcotest.(check int) "no leftovers" 0 run.P.leftover;
   (* all rounds executed *)
   Alcotest.(check int) "all executed" rounds
@@ -68,7 +68,7 @@ let fabricated_proposal_rejected () =
   let cfg, engine, _ = setup () in
   let k = cfg.P.params.Params.k in
   (* node 0 (leader of round 0) proposes corrupted commands *)
-  let adv = P.lying_adversary [ 0 ] in
+  let adv = Strategy.(uniform [ 0 ] (Shift 1)) in
   let submissions r =
     Array.init k (fun m ->
         if r = 0 then [ { P.client = 1; command = [| fi (m + 5) |] } ] else [])
@@ -94,7 +94,7 @@ let validate_hook_applied () =
      must still be skipped *)
   let outcome =
     P.run_round ~validate:(fun _ -> false) cfg engine ~round:1 ~commands
-      P.passive_adversary
+      Strategy.honest
   in
   Alcotest.(check bool) "skipped" true (outcome.P.consensus = P.Skipped);
   Alcotest.(check bool) "not executed" false outcome.P.executed
@@ -105,7 +105,7 @@ let noop_rounds_preserve_state () =
   let k = cfg.P.params.Params.k in
   let submissions _ = Array.init k (fun _ -> []) in
   let run =
-    P.run_with_clients cfg engine ~submissions ~rounds:3 P.passive_adversary
+    P.run_with_clients cfg engine ~submissions ~rounds:3 Strategy.honest
   in
   Alcotest.(check int) "all executed" 3
     (List.length (List.filter (fun o -> o.P.executed) run.P.outcomes));
@@ -123,7 +123,7 @@ let clients_partial_sync () =
   let init = Array.init k (fun i -> [| fi (100 * (i + 1)) |]) in
   let engine = E.create ~machine ~params ~init in
   let cfg = P.default_config params in
-  let adv = P.withholding_adversary [ n - 1 ] in
+  let adv = Strategy.(uniform [ n - 1 ] (Silence [])) in
   let submissions r =
     Array.init k (fun m ->
         [ { P.client = (10 * m) + r; command = [| fi (r + m + 1) |] } ])

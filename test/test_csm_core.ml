@@ -303,7 +303,7 @@ let engine_decoder_agnostic () =
     let e = E.create ~machine ~params ~init in
     E.round e ~algorithm ~commands ~byzantine:(fun i -> i < b) ()
   in
-  let a = run E.RS.Gao and b' = run E.RS.Berlekamp_welch in
+  let a = run E.RS.Gao and b' = run E.RS.Optimistic in
   match (a.E.decoded, b'.E.decoded) with
   | Some da, Some db ->
     for k' = 0 to k - 1 do

@@ -157,16 +157,17 @@ let early_decode_correct_with_liars () =
   let cfg = { (P.default_config params) with P.early_decode = true } in
   (* liars are nodes 0..b-1: with uniform latency they are among the
      early arrivals at every node *)
-  let adv = P.lying_adversary (List.init b (fun i -> i)) in
+  let liars = List.init b (fun i -> i) in
+  let adv = Strategy.(uniform liars (Shift 1)) in
   let commands = Array.init k (fun i -> [| fi (i + 7) |]) in
   let times = Array.make n max_int in
   let per_node =
-    P.execution_phase ~decode_times:times cfg engine ~commands adv
+    P.execution_phase ~decode_times:times cfg engine ~round:0 ~commands adv
   in
   let next_ref, _ = M.run_fleet machine ~states:init ~commands in
   Array.iteri
     (fun i result ->
-      if not (adv.P.byzantine i) then begin
+      if not (List.mem i liars) then begin
         match result with
         | None -> Alcotest.failf "node %d failed to decode" i
         | Some dec ->
@@ -180,7 +181,7 @@ let early_decode_correct_with_liars () =
      the full timer *)
   Array.iteri
     (fun i t ->
-      if not (adv.P.byzantine i) then
+      if not (List.mem i liars) then
         Alcotest.(check bool) "decoded at first wave" true (t <= cfg.P.delta + 1))
     times
 
@@ -246,20 +247,40 @@ let allocation_experiment_shape () =
   Alcotest.(check (float 0.001)) "csm bound honest" 1.0
     csm_over.RA.compromise_rate
 
-(* ----- adversary strategy library ----- *)
+(* ----- adversary strategies at the engine level ----- *)
 
-module Adv = Adversary.Make (F)
+(* Run one round of [strategy] through the engine as observer 0 (the
+   decoder) sees it: a Byzantine node reports the interpreter's vector,
+   or nothing when its action is silent toward the decoder. *)
+let strategy_round engine strategy ~round ~commands =
+  let act node = Strategy.action_at strategy ~node ~round in
+  E.round engine ~commands
+    ~byzantine:(fun node -> act node <> None)
+    ~withheld:(fun node ->
+      match act node with
+      | Some a -> Strategy.silent_toward a ~observer:0
+      | None -> false)
+    ~corruption:(fun ~node g ->
+      match Option.bind (act node) (fun a ->
+                E.corrupt_result engine a ~node ~round ~observer:0 g) with
+      | Some g' -> g'
+      | None -> g)
+    ()
 
 (* Every named strategy, applied by b liars within the bound, is
-   corrected over multiple rounds on every example machine dimension. *)
+   corrected over multiple rounds on every example machine dimension:
+   uniform shift, fresh garbage, a one-coordinate lie, the colluding
+   codeword (the bound-tight attack) and a flip-flop shift. *)
 let all_strategies_corrected () =
   let machine = M.pair_market () in
   let d = M.degree machine in
   let k = 2 and b = 2 in
   let n = Params.composite_degree ~k ~d + (2 * b) + 1 in
   let params = Params.make ~network:Params.Sync ~n ~k ~d ~b in
+  let liars = List.init b (fun i -> i) in
   List.iter
-    (fun (strategy : Adv.t) ->
+    (fun strategy ->
+      let name = Strategy.name strategy in
       let r = Csm_rng.create 0xAD5 in
       let init = Array.init k (fun _ -> Array.init 2 (fun _ -> F.random r)) in
       let engine = E.create ~machine ~params ~init in
@@ -268,25 +289,27 @@ let all_strategies_corrected () =
         let commands =
           Array.init k (fun _ -> Array.init 2 (fun _ -> F.random r))
         in
-        let report =
-          E.round engine ~commands
-            ~byzantine:(fun i -> i < b)
-            ~corruption:(strategy.Adv.corruption ~round ~engine)
-            ()
-        in
+        let report = strategy_round engine strategy ~round ~commands in
         let next_ref, _ = M.run_fleet machine ~states:!states ~commands in
         states := next_ref;
         match report.E.decoded with
-        | None -> Alcotest.failf "%s: decode failed" strategy.Adv.name
+        | None -> Alcotest.failf "%s: decode failed" name
         | Some dec ->
           for m = 0 to k - 1 do
             for j = 0 to 1 do
               if not (F.equal dec.E.next_states.(m).(j) next_ref.(m).(j))
-              then Alcotest.failf "%s: wrong state" strategy.Adv.name
+              then Alcotest.failf "%s: wrong state" name
             done
           done
       done)
-    (Adv.all ~seed:99)
+    Strategy.
+      [
+        uniform liars (Shift 1);
+        uniform liars (Garbage { seed = 99 });
+        uniform liars (Coord { index = 0; delta = 1 });
+        uniform liars (Codeword { seed = 0xDE17A });
+        uniform ~rounds:(Every { period = 2; phase = 0 }) liars (Shift 1);
+      ]
 
 (* The flip-flop liar is only reported as erroneous on rounds it lies. *)
 let flip_flop_detection () =
@@ -297,16 +320,12 @@ let flip_flop_detection () =
   let r = Csm_rng.create 4 in
   let init = Array.init k (fun _ -> [| F.random r |]) in
   let engine = E.create ~machine ~params ~init in
-  let strategy = Adv.flip_flop (Adv.uniform_shift ()) in
+  let strategy =
+    Strategy.(uniform ~rounds:(Every { period = 2; phase = 0 }) [ 0 ] (Shift 1))
+  in
   for round = 0 to 3 do
     let commands = Array.init k (fun _ -> [| F.random r |]) in
-    let report =
-      E.round engine ~commands
-        ~byzantine:(fun i -> i = 0)
-        ~corruption:(strategy.Adv.corruption ~round ~engine)
-        ()
-    in
-    match report.E.decoded with
+    match (strategy_round engine strategy ~round ~commands).E.decoded with
     | None -> Alcotest.fail "flip-flop round failed"
     | Some dec ->
       let expect_liar = round mod 2 = 0 in

@@ -61,18 +61,19 @@ let honest_run_sync () =
   let cfg, engine, init = setup () in
   let k = cfg.P.params.Params.k in
   let outcomes =
-    P.run cfg engine ~workload:(workload k) ~rounds:4 P.passive_adversary
+    P.run cfg engine ~workload:(workload k) ~rounds:4 Strategy.honest
   in
   check_outcomes outcomes (reference init ~k ~rounds:4) k []
 
-let lying_adversary_sync () =
+let lying_sync () =
   let cfg, engine, init = setup () in
   let k = cfg.P.params.Params.k in
   let b = cfg.P.params.Params.b in
   (* liars chosen away from early leaders so no round is skipped *)
   let liars = List.init b (fun i -> cfg.P.params.Params.n - 1 - i) in
   let outcomes =
-    P.run cfg engine ~workload:(workload k) ~rounds:4 (P.lying_adversary liars)
+    P.run cfg engine ~workload:(workload k) ~rounds:4
+      Strategy.(uniform liars (Shift 1))
   in
   check_outcomes outcomes (reference init ~k ~rounds:4) k liars
 
@@ -85,7 +86,7 @@ let equivocating_execution_sync () =
   let liars = List.init b (fun i -> cfg.P.params.Params.n - 1 - i) in
   let outcomes =
     P.run cfg engine ~workload:(workload k) ~rounds:3
-      (P.equivocating_adversary liars)
+      Strategy.(uniform liars (Equivocate { seed = 0xE9 }))
   in
   check_outcomes outcomes (reference init ~k ~rounds:3) k liars
 
@@ -94,7 +95,7 @@ let byzantine_leader_round_skipped () =
      decide ⊥ and skip; round 1 has an honest leader and proceeds *)
   let cfg, engine, _init = setup () in
   let k = cfg.P.params.Params.k in
-  let adv = P.lying_adversary [ 0 ] in
+  let adv = Strategy.(uniform [ 0 ] (Shift 1)) in
   let outcomes = P.run cfg engine ~workload:(workload k) ~rounds:2 adv in
   let r0 = List.nth outcomes 0 and r1 = List.nth outcomes 1 in
   Alcotest.(check bool) "round 0 skipped" true (r0.P.consensus = P.Skipped);
@@ -108,7 +109,7 @@ let withholding_partial_sync () =
   let liars = List.init b (fun i -> cfg.P.params.Params.n - 1 - i) in
   let outcomes =
     P.run cfg engine ~workload:(workload k) ~rounds:3
-      (P.withholding_adversary liars)
+      Strategy.(uniform liars (Silence []))
   in
   check_outcomes outcomes (reference init ~k ~rounds:3) k liars
 
@@ -118,7 +119,8 @@ let lying_partial_sync () =
   let b = cfg.P.params.Params.b in
   let liars = List.init b (fun i -> cfg.P.params.Params.n - 1 - i) in
   let outcomes =
-    P.run cfg engine ~workload:(workload k) ~rounds:3 (P.lying_adversary liars)
+    P.run cfg engine ~workload:(workload k) ~rounds:3
+      Strategy.(uniform liars (Shift 1))
   in
   check_outcomes outcomes (reference init ~k ~rounds:3) k liars
 
@@ -128,7 +130,7 @@ let partial_sync_with_slow_network () =
   let cfg = { cfg with P.gst = 500; pre_gst_delay = 100_000 } in
   let k = cfg.P.params.Params.k in
   let outcomes =
-    P.run cfg engine ~workload:(workload k) ~rounds:2 P.passive_adversary
+    P.run cfg engine ~workload:(workload k) ~rounds:2 Strategy.honest
   in
   check_outcomes outcomes (reference init ~k ~rounds:2) k []
 
@@ -146,7 +148,7 @@ let figure2_scenario () =
   let engine = E.create ~machine ~params ~init in
   let cfg = P.default_config params in
   (* node 2 equivocates in consensus when leader and lies in execution *)
-  let adv = P.lying_adversary [ 2 ] in
+  let adv = Strategy.(uniform [ 2 ] (Shift 1)) in
   let outcomes = P.run cfg engine ~workload:(workload k) ~rounds:3 adv in
   List.iteri
     (fun r (o : P.round_outcome) ->
@@ -166,7 +168,7 @@ let storage_stays_coded () =
   let cfg, engine, init = setup () in
   let k = cfg.P.params.Params.k in
   let rounds = 3 in
-  ignore (P.run cfg engine ~workload:(workload k) ~rounds P.passive_adversary);
+  ignore (P.run cfg engine ~workload:(workload k) ~rounds Strategy.honest);
   let states = ref (Array.map Array.copy init) in
   for r = 0 to rounds - 1 do
     let next, _ = M.run_fleet machine ~states:!states ~commands:(workload k r) in
@@ -220,7 +222,7 @@ let protocol_vs_engine_differential =
       let e1 = E.create ~machine ~params ~init in
       let cfg = P.default_config params in
       let outcomes =
-        P.run cfg e1 ~workload:(fun r -> cmds.(r)) ~rounds P.passive_adversary
+        P.run cfg e1 ~workload:(fun r -> cmds.(r)) ~rounds Strategy.honest
       in
       (* pure engine run *)
       let e2 = E.create ~machine ~params ~init in
@@ -248,12 +250,85 @@ let protocol_vs_engine_differential =
         e1.E.coded_states;
       !ok)
 
+(* The protocol under searched adversaries: heterogeneous, scheduled
+   Strategy.random plans over at most b nodes.  No round may split the
+   honest nodes; executed rounds decode identically at every honest node
+   and match the uncoded reference (stepped on the agreed commands of
+   the executed rounds only) with the right outputs delivered; and a
+   round whose leader has no plan always executes. *)
+let protocol_under_strategies network =
+  let name =
+    match network with
+    | Params.Sync -> "sync"
+    | Params.Partial_sync -> "partial sync"
+  in
+  QCheck.Test.make
+    ~name:(Printf.sprintf "protocol safe under random strategies (%s)" name)
+    ~count:25
+    QCheck.(make ~print:string_of_int Gen.(int_bound 0xFFFFFF))
+    (fun seed ->
+      let k = 2 and b = 2 and rounds = 4 in
+      let cfg, engine, init = setup ~network ~k ~b () in
+      let n = cfg.P.params.Params.n in
+      let strat =
+        Strategy.random (Csm_rng.create seed) ~n ~rounds_total:rounds
+          ~max_nodes:b
+      in
+      let outcomes = P.run cfg engine ~workload:(workload k) ~rounds strat in
+      let states = ref (Array.map Array.copy init) in
+      let veq a b' = Array.for_all2 F.equal a b' in
+      List.iter
+        (fun (o : P.round_outcome) ->
+          let fail what =
+            QCheck.Test.fail_reportf "%s: round %d %s" (Strategy.name strat)
+              o.P.round what
+          in
+          let leader_honest =
+            not (List.mem (o.P.round mod n) (Strategy.byz_nodes strat))
+          in
+          match (o.P.consensus, o.P.decoded) with
+          | P.Disagreement, _ -> fail "honest nodes disagreed"
+          | P.Agreed commands, Some d ->
+            if not o.P.honest_agree then fail "honest decoders split";
+            let next, outs = M.run_fleet machine ~states:!states ~commands in
+            states := next;
+            if not (Array.for_all2 veq d.E.next_states next) then
+              fail "decoded states differ from the reference";
+            Array.iteri
+              (fun m out ->
+                match out with
+                | Some y when veq y outs.(m) -> ()
+                | _ -> fail (Printf.sprintf "machine %d delivery wrong" m))
+              o.P.delivered
+          | (P.Agreed _ | P.Skipped), _ ->
+            if leader_honest then fail "skipped under an honest leader")
+        outcomes;
+      true)
+
+(* csm_run's --adversary and --network are closed enums: a typo is a
+   usage error (exit 124), not a silent passive or synchronous run *)
+let run_cli_enums () =
+  let exe =
+    Filename.concat
+      (Filename.concat (Filename.dirname Sys.executable_name) "../bin")
+      "csm_run.exe"
+  in
+  let run args =
+    Sys.command
+      (Printf.sprintf "CSM_TICKER=0 %s %s > /dev/null 2>&1" (Filename.quote exe)
+         args)
+  in
+  Alcotest.(check int) "bad --adversary" 124 (run "--adversary lyin");
+  Alcotest.(check int) "bad --network" 124 (run "--network partal");
+  Alcotest.(check int) "valid names run" 0
+    (run "--adversary withhold --network partial --rounds 1")
+
 let suites =
   [
     ( "protocol:e2e",
       [
         Alcotest.test_case "honest run (sync)" `Quick honest_run_sync;
-        Alcotest.test_case "lying adversary (sync)" `Quick lying_adversary_sync;
+        Alcotest.test_case "lying adversary (sync)" `Quick lying_sync;
         Alcotest.test_case "equivocating execution (sync)" `Quick
           equivocating_execution_sync;
         Alcotest.test_case "byzantine leader: round skipped, next recovers"
@@ -267,6 +342,12 @@ let suites =
         Alcotest.test_case "coded storage stays consistent" `Quick
           storage_stays_coded;
         Alcotest.test_case "wire roundtrip" `Quick wire_roundtrip;
+        Alcotest.test_case "csm_run rejects unknown enum values" `Quick
+          run_cli_enums;
         QCheck_alcotest.to_alcotest ~long:false protocol_vs_engine_differential;
+        QCheck_alcotest.to_alcotest ~long:false
+          (protocol_under_strategies Params.Sync);
+        QCheck_alcotest.to_alcotest ~long:false
+          (protocol_under_strategies Params.Partial_sync);
       ] );
   ]

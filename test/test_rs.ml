@@ -242,7 +242,7 @@ let optimistic_hit () =
 
 let optimistic_fallback_matches_gao () =
   (* within the radius the optimistic decoder must equal Gao exactly,
-     whether the fast path was attempted (and missed) or disabled *)
+     including when the fast path was attempted and missed *)
   for _ = 1 to 40 do
     let k = 1 + Csm_rng.int rng 6 in
     let n = k + 2 + Csm_rng.int rng 14 in
@@ -253,16 +253,15 @@ let optimistic_fallback_matches_gao () =
     let word = RS.encode ~message:msg ~points:pts in
     let corrupted, positions = RS.corrupt rng ~count:e word in
     let pairs = Array.map2 (fun x y -> (x, y)) pts corrupted in
-    (match RS.decode_optimistic ~k pairs with
-    | None -> Alcotest.fail "optimistic failed within radius"
-    | Some d ->
+    match (RS.decode_optimistic ~k pairs, RS.decode_gao ~k pairs) with
+    | None, _ -> Alcotest.fail "optimistic failed within radius"
+    | _, None -> Alcotest.fail "Gao failed within radius"
+    | Some d, Some g ->
       if not (P.equal d.RS.poly msg) then Alcotest.fail "optimistic wrong poly";
+      if not (P.equal d.RS.poly g.RS.poly) then
+        Alcotest.fail "optimistic differs from Gao";
       if e > 0 && d.RS.errors <> positions then
-        Alcotest.fail "optimistic wrong error positions");
-    match RS.decode ~algorithm:RS.Optimistic_fallback_only ~k pairs with
-    | None -> Alcotest.fail "fallback-only failed within radius"
-    | Some d ->
-      if not (P.equal d.RS.poly msg) then Alcotest.fail "fallback-only wrong poly"
+        Alcotest.fail "optimistic wrong error positions"
   done
 
 let optimistic_erasure_rescue () =
@@ -387,9 +386,8 @@ let bm_wrong_length_is_none () =
 (* ----- cross-decoder agreement (QCheck) ----- *)
 
 (* On classical points (powers of a primitive n-th root of unity, so the
-   syndrome decoder applies too), all five decode entry points must
-   agree: BW, Gao, BM, optimistic, and optimistic with the fast path
-   force-disabled.  Within the radius they must all return the original
+   syndrome decoder applies too), all four decoders must agree: BW,
+   Gao, BM and optimistic.  Within the radius they must all return the original
    message; beyond it they must still agree with each other (including
    agreeing to fail). *)
 let qcheck_cross_decoder =
@@ -397,7 +395,7 @@ let qcheck_cross_decoder =
   let inst = BM.instance ~n in
   let alpha = Option.get (F.root_of_unity n) in
   let pts = Array.init n (fun i -> F.pow alpha i) in
-  QCheck.Test.make ~name:"five decoders agree on classical points" ~count:120
+  QCheck.Test.make ~name:"four decoders agree on classical points" ~count:120
     QCheck.(triple (int_range 1 8) (int_range 0 15) (int_range 0 1_000_000))
     (fun (k, e, seed) ->
       let r = Csm_rng.create (0xC0DE + seed) in
@@ -412,7 +410,6 @@ let qcheck_cross_decoder =
           RS.decode_bw ~k pairs;
           RS.decode_gao ~k pairs;
           RS.decode_optimistic ~k pairs;
-          RS.decode ~algorithm:RS.Optimistic_fallback_only ~k pairs;
         ]
       in
       let polys =
