@@ -142,6 +142,15 @@ let hlc_skew ~node =
     ~labels:[ node_label node ]
     "csm_hlc_skew_seconds"
 
+let node_retained_rounds ~node =
+  Metric.gauge
+    ~help:
+      "Round slots the node held when its latest round ended (the running \
+       round plus any next-round frames already in); at most 2 by the \
+       window rule"
+    ~labels:[ node_label node ]
+    "csm_node_retained_rounds"
+
 let flightrec_dumps ~reason =
   Metric.counter
     ~help:

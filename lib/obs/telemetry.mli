@@ -45,6 +45,10 @@ val delegation_fraud : stage:string -> Metric.counter
 val hlc_skew : node:int -> Metric.gauge
 (** |HLC physical − wall clock| at telemetry-snapshot time, seconds. *)
 
+val node_retained_rounds : node:int -> Metric.gauge
+(** Round slots a cluster node held at the end of its latest round;
+    the window rule bounds it by 2. *)
+
 val flightrec_dumps : reason:string -> Metric.counter
 (** Flight-recorder dumps written, by trigger: ["divergence"],
     ["frame-errors"], ["suspicion"], ["alert"], ["requested"]. *)

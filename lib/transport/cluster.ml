@@ -115,6 +115,15 @@ module Make (F : Field_intf.S) = struct
   let fault_of cfg i =
     match List.assoc_opt i cfg.faults with Some f -> f | None -> Node.Honest
 
+  (* Hand each arriving frame to [handle], one blocking [recv] for the
+     time left, until [finished] holds or [limit] passes. *)
+  let rec recv_until (tr : Transport.t) ~limit finished handle =
+    let left = limit -. Unix.gettimeofday () in
+    if (not (finished ())) && left > 0.0 then begin
+      Option.iter handle (tr.Transport.recv ~timeout:left);
+      recv_until tr ~limit finished handle
+    end
+
   let client_run cfg (tr : Transport.t) =
     let n = cfg.params.Params.n in
     let b = cfg.params.Params.b in
@@ -190,12 +199,11 @@ module Make (F : Field_intf.S) = struct
       (* collect Output frames for this round; a corrupted payload fails
          matrix validation at intake — counted and dropped *)
       let got : (int, string) Hashtbl.t = Hashtbl.create 16 in
-      let limit = Unix.gettimeofday () +. cfg.deadline in
-      let finished () = Hashtbl.length got >= expected_outputs in
-      let rec collect () =
-        if (not (finished ())) && Unix.gettimeofday () < limit then begin
-          (match tr.Transport.recv ~timeout:0.05 with
-          | Some fr
+      recv_until tr
+        ~limit:(Unix.gettimeofday () +. cfg.deadline)
+        (fun () -> Hashtbl.length got >= expected_outputs)
+        (function
+          | fr
             when Frame.kind_eq fr.Frame.kind Frame.Output
                  && fr.Frame.round = r
                  && fr.Frame.sender >= 0
@@ -205,19 +213,14 @@ module Make (F : Field_intf.S) = struct
               record_recv fr;
               Hashtbl.replace got fr.Frame.sender fr.Frame.payload
             | None -> Transport.record_error tr)
-          | Some fr when Frame.kind_eq fr.Frame.kind Frame.Stats -> ()
+          | fr when Frame.kind_eq fr.Frame.kind Frame.Stats -> ()
             (* late stats cannot occur before shutdown; ignore *)
-          | Some fr
+          | fr
             when Frame.kind_eq fr.Frame.kind Frame.Telemetry
                  && fr.Frame.sender >= 0
                  && fr.Frame.sender < n ->
             live_apply fr
-          | Some _ -> Transport.record_error tr
-          | None -> ());
-          collect ()
-        end
-      in
-      collect ();
+          | _ -> Transport.record_error tr);
       outputs_received.(r) <- Hashtbl.length got;
       (* the vote: accept the payload at least b+1 nodes shipped *)
       let tally : (string, int) Hashtbl.t = Hashtbl.create 4 in
@@ -244,7 +247,6 @@ module Make (F : Field_intf.S) = struct
     done;
     let stats : Transport.stats option array = Array.make (n + 1) None in
     let bundles : (int, Agg.bundle) Hashtbl.t = Hashtbl.create 8 in
-    let limit = Unix.gettimeofday () +. cfg.deadline in
     let have_all () =
       let c = ref 0 in
       for i = 0 to n - 1 do
@@ -255,17 +257,16 @@ module Make (F : Field_intf.S) = struct
       done;
       !c = n
     in
-    let rec gather () =
-      if (not (have_all ())) && Unix.gettimeofday () < limit then begin
-        (match tr.Transport.recv ~timeout:0.05 with
-        | Some fr
+    recv_until tr ~limit:(Unix.gettimeofday () +. cfg.deadline) have_all
+      (function
+        | fr
           when Frame.kind_eq fr.Frame.kind Frame.Stats
                && fr.Frame.sender >= 0
                && fr.Frame.sender < n -> (
           match N.decode_stats_payload fr.Frame.payload with
           | Some s -> stats.(fr.Frame.sender) <- Some s
           | None -> Transport.record_error tr)
-        | Some fr
+        | fr
           when Frame.kind_eq fr.Frame.kind Frame.Telemetry
                && fr.Frame.sender >= 0
                && fr.Frame.sender < n -> (
@@ -284,12 +285,12 @@ module Make (F : Field_intf.S) = struct
                  bundle; otherwise an unexpected kind we ignore, as the
                  pre-streaming driver did *)
               if cfg.telemetry then Transport.record_error tr))
-        | Some _ -> ()  (* stragglers from the last round *)
-        | None -> ());
-        gather ()
-      end
-    in
-    gather ();
+        | fr when Frame.kind_eq fr.Frame.kind Frame.Output ->
+          (* a straggler from the last round: nothing to collect, but a
+             corrupt one is still detected *)
+          if Option.is_none (W.decode_matrix_bin fr.Frame.payload) then
+            Transport.record_error tr
+        | _ -> ());
     let node_bundles =
       List.filter_map
         (fun i -> Hashtbl.find_opt bundles i)
@@ -380,26 +381,15 @@ module Make (F : Field_intf.S) = struct
     let stats = Array.copy node_stats in
     stats.(n) <- Some (Transport.snapshot client);
     client.Transport.close ();
-    (* bounded reaping: children exit right after their Stats reply *)
-    let reap pid =
-      let limit = Unix.gettimeofday () +. cfg.deadline +. 2.0 in
-      let rec wait () =
-        match Unix.waitpid [ Unix.WNOHANG ] pid with
-        | 0, _ ->
-          if Unix.gettimeofday () >= limit then begin
-            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-            ignore (Unix.waitpid [] pid)
-          end
-          else begin
-            Thread.delay 0.01;
-            wait ()
-          end
-        | _ -> ()
-        | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-      in
-      wait ()
+    (* a child that answered exits right after its Stats reply (its
+       close is bounded); one that never answered is killed *)
+    let reap i pid =
+      if Option.is_none stats.(i) then (
+        try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      try ignore (Unix.waitpid [] pid)
+      with Unix.Unix_error (Unix.ECHILD, _, _) -> ()
     in
-    List.iter reap pids;
+    List.iteri reap pids;
     (ledger, outputs_received, stats, bundles, flight, run_seconds)
 
   let run cfg =

@@ -6,21 +6,21 @@
    which keeps single-process cluster tests deterministic and fast.
 
    Endpoints may live on different threads of one process (the cluster
-   driver runs one node per thread); mailboxes are mutex-guarded and
-   [recv] polls with a short sleep, which is plenty for protocol-scale
-   message rates.
+   driver runs one node per thread); each endpoint's [recv] blocks on
+   its {!Transport.Mailbox} until a sender wakes it or the deadline
+   passes.
 
    Counting: received frames/bytes are recorded at delivery into the
    destination mailbox (send time), mirroring the socket transport's
-   reader-thread intake — so both transports report identical counts
-   for the same protocol run. *)
+   intake on its I/O thread — so both transports report identical
+   counts for the same protocol run. *)
 
 module Frame = Csm_wire.Frame
 module Lockdep = Csm_parallel.Lockdep
+module Mailbox = Transport.Mailbox
 
 type slot = {
-  q : string Queue.t;
-  m : Lockdep.t;
+  box : string Mailbox.t;
   stats : Transport.stats;
   sm : Lockdep.t;
 }
@@ -33,33 +33,29 @@ let create ~endpoints =
     slots =
       Array.init endpoints (fun _ ->
           {
-            q = Queue.create ();
-            m = Lockdep.create "loopback.mailbox";
+            box = Mailbox.create "loopback.mailbox";
             stats = Transport.zero_stats ();
             sm = Lockdep.create "loopback.stats";
           });
   }
 
-let poll_interval = 0.0005
-
 let endpoint net ~id =
   let endpoints = Array.length net.slots in
   if id < 0 || id >= endpoints then invalid_arg "Loopback.endpoint: bad id";
   let me = net.slots.(id) in
-  let closed = ref false in
   let t =
     {
       Transport.id;
       endpoints;
       send = (fun ~dst:_ _ -> ());  (* replaced below *)
       recv = (fun ~timeout:_ -> None);
-      close = (fun () -> closed := true);
+      close = (fun () -> Mailbox.close me.box);
       stats = me.stats;
       stats_mutex = me.sm;
     }
   in
   let send ~dst frame =
-    if (not !closed) && dst >= 0 && dst < endpoints then begin
+    if (not (Mailbox.closed me.box)) && dst >= 0 && dst < endpoints then begin
       let bytes = Frame.encode frame in
       let len = String.length bytes in
       Transport.record_sent t len;
@@ -67,32 +63,20 @@ let endpoint net ~id =
       Lockdep.with_lock peer.sm (fun () ->
           peer.stats.frames_received <- peer.stats.frames_received + 1;
           peer.stats.bytes_received <- peer.stats.bytes_received + len);
-      Lockdep.with_lock peer.m (fun () -> Queue.push bytes peer.q)
+      Mailbox.push peer.box bytes
     end
   in
   let recv ~timeout =
     let deadline = Unix.gettimeofday () +. timeout in
     let rec loop () =
-      if !closed then None
-      else begin
-        let item =
-          Lockdep.with_lock me.m (fun () ->
-              if Queue.is_empty me.q then None else Some (Queue.pop me.q))
-        in
-        match item with
-        | Some bytes -> (
-          match Frame.decode bytes with
-          | Some fr -> Some fr
-          | None ->
-            Transport.record_error t;
-            loop ())
+      match Mailbox.pop me.box ~deadline with
+      | None -> None
+      | Some bytes -> (
+        match Frame.decode bytes with
+        | Some _ as fr -> fr
         | None ->
-          if Unix.gettimeofday () >= deadline then None
-          else begin
-            Thread.delay poll_interval;
-            loop ()
-          end
-      end
+          Transport.record_error t;
+          loop ())
     in
     loop ()
   in

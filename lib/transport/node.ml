@@ -18,8 +18,13 @@
    decoders — a truncated or corrupted body counts one transport frame
    error and is dropped, so a Byzantine peer can lie (the code corrects
    lies) or babble garbage (dropped and counted) but never crash or
-   wedge the node; collect loops bound their waiting with the
-   [deadline] so silent peers cannot stall a round either.
+   wedge the node; every wait blocks in [recv] for at most the
+   [deadline], so silent peers cannot stall a round either.
+
+   Node state is bounded: one slot per live round, deleted when the
+   round ends.  The window rule keeps at most two live: a valid frame
+   for a finished round is dropped, and one more than one round ahead
+   of the node is counted as a [bad-round] frame error.
 
    The runtime's own faults ([Drop]/[Delay]/[Corrupt]) apply to the
    frames it *sends* — that is how the cluster driver turns a node
@@ -55,6 +60,12 @@ let lie_spec_eq a b =
 
 let lie_active l ~round =
   round >= l.l_from && (round - l.l_from) mod max 1 l.l_period = 0
+
+(* The lie as an adversary action, for [Engine.corrupt_result]. *)
+let lie_action l =
+  match l.l_coord with
+  | None -> Csm_core.Strategy.Shift l.l_offset
+  | Some c -> Csm_core.Strategy.Coord { index = c; delta = l.l_offset }
 
 type fault =
   | Honest
@@ -135,16 +146,27 @@ module Make (F : Field_intf.S) = struct
       Bytes.to_string b
     end
 
-  (* ---- inbox: validated protocol state, filled by [pump] ---- *)
+  (* ---- per-round slots: validated protocol state, filled by [dispatch] ---- *)
+
+  (* Everything the node knows about one live round.  The arrays are
+     indexed by sender; the counters are what the round's waits read. *)
+  type slot = {
+    mutable command : (string * F.t array array) option;
+        (* the client's payload and its decoded commands *)
+    commits : string option array;  (* peer → echoed command payload *)
+    mutable n_commits : int;
+    results : F.t array option array;  (* peer → gⱼ (own entry included) *)
+    mutable n_results : int;
+    mutable trace_id : int64;
+        (* causal trace id, adopted from the first valid extended frame
+           of the round (the client's Command); 0L until then *)
+  }
 
   type inbox = {
-    commands : (int, string * F.t array array) Hashtbl.t;
-        (* round → (payload, decoded commands), client frames only *)
-    commits : (int * int, string) Hashtbl.t;  (* (round, sender) → payload *)
-    results : (int * int, F.t array) Hashtbl.t;  (* (round, sender) → gⱼ *)
-    traces : (int, int64) Hashtbl.t;
-        (* round → causal trace id, adopted from the first valid
-           extended frame of the round (the client's Command) *)
+    slots : (int, slot) Hashtbl.t;
+        (* live rounds only: the running one and the next (window rule
+           in [dispatch]); a round's slot goes when [run_round] returns *)
+    mutable round : int;  (* the round being run; [rounds] once done *)
     flight : Flight.t;  (* this node's always-on black box *)
     mutable shutdown : bool;
     (* streaming-delta emitter state (config.stream = Some _) *)
@@ -159,10 +181,8 @@ module Make (F : Field_intf.S) = struct
 
   let make_inbox ~node () =
     {
-      commands = Hashtbl.create 16;
-      commits = Hashtbl.create 64;
-      results = Hashtbl.create 64;
-      traces = Hashtbl.create 16;
+      slots = Hashtbl.create 4;
+      round = 0;
       flight = Flight.create ~node ();
       shutdown = false;
       st_seq = 0;
@@ -171,8 +191,28 @@ module Make (F : Field_intf.S) = struct
       st_sent = Hashtbl.create 32;
     }
 
+  let slot_for cfg inbox round =
+    match Hashtbl.find_opt inbox.slots round with
+    | Some s -> s
+    | None ->
+      let n = cfg.params.Params.n in
+      let s =
+        {
+          command = None;
+          commits = Array.make n None;
+          n_commits = 0;
+          results = Array.make n None;
+          n_results = 0;
+          trace_id = 0L;
+        }
+      in
+      Hashtbl.replace inbox.slots round s;
+      s
+
   let trace_of inbox round =
-    Option.value ~default:0L (Hashtbl.find_opt inbox.traces round)
+    match Hashtbl.find_opt inbox.slots round with
+    | Some s -> s.trace_id
+    | None -> 0L
 
   (* Stamp an outbound protocol frame (trace mode): promote it to
      wire v2 carrying the round's trace id and a fresh HLC send stamp. *)
@@ -277,18 +317,26 @@ module Make (F : Field_intf.S) = struct
                    ~views ~events ())))
       end
 
-  (* An adversary-chosen round number is a Hashtbl key into the inbox:
-     left unvalidated, a forged stream of distinct rounds grows
-     protocol state (commands/commits/results/traces) without bound.
-     Rounds are dense — 0..rounds-1 for protocol frames, with [rounds]
-     itself serving as the shutdown/stats epoch — so a total decoder
-     bounds the key space to rounds+1 values. *)
+  (* An adversary-chosen round number keys the slot table: left
+     unvalidated, a forged stream of distinct rounds grows protocol
+     state without bound.  Rounds are dense — 0..rounds-1 for protocol
+     frames, with [rounds] itself serving as the shutdown/stats epoch —
+     so a total decoder bounds the key space to rounds+1 values, and
+     the window rule in [dispatch] bounds the live slots to two. *)
   let decode_round ~rounds r = if r >= 0 && r <= rounds then Some r else None
+
+  (* A wire sender index that names a protocol peer of this node. *)
+  let decode_peer cfg s =
+    if s >= 0 && s < cfg.params.Params.n && s <> cfg.node then Some s else None
 
   (* Intake-time validation: bound the round and decode the payload
      with the total decoders the moment the frame arrives, so a
      malformed frame is counted and dropped exactly once no matter when
-     the round logic looks. *)
+     it arrives.  A valid frame then meets the window rule: one for a
+     finished round is dropped silently; one more than a round ahead of
+     the node is a [bad-round] error — no honest peer gets there, since
+     the client keeps one round outstanding and waits for every
+     delivering node's Output. *)
   let dispatch cfg (tr : Transport.t) inbox (fr : Frame.t) =
     let n = cfg.params.Params.n in
     let k = cfg.params.Params.k in
@@ -302,9 +350,6 @@ module Make (F : Field_intf.S) = struct
       | None -> (Clock.now (), 0L)
     in
     let record_recv ~round () =
-      if rx_trace <> 0L && not (Hashtbl.mem inbox.traces round) then
-        (* csm-lint: allow R6 — trace ids are opaque correlation tokens: the key is the validated round, the value fixed-width, never indexed or interpreted *)
-        Hashtbl.replace inbox.traces round rx_trace;
       Flight.record inbox.flight ~trace:rx_trace
         ~attrs:
           [
@@ -324,41 +369,52 @@ module Make (F : Field_intf.S) = struct
           ]
         ~hlc:rx_hlc ~round "error"
     in
+    (* a valid protocol frame: keep it in its round's slot if live *)
+    let accept ~round store =
+      if round > inbox.round + 1 then record_bad ~round "bad-round"
+      else begin
+        record_recv ~round ();
+        if round >= inbox.round then begin
+          let s = slot_for cfg inbox round in
+          if rx_trace <> 0L && s.trace_id = 0L then s.trace_id <- rx_trace;
+          store s
+        end
+      end
+    in
     match decode_round ~rounds:cfg.rounds fr.Frame.round with
     | None ->
       (* the flight entry logs the forged value, but nothing keys on it *)
       record_bad ~round:fr.Frame.round "bad-round"
     | Some round -> (
-      match fr.Frame.kind with
-      | Frame.Command when sender = n -> (
-        match
-          W.decode_commands_bin ~k ~dim:cfg.machine.M.input_dim
-            fr.Frame.payload
-        with
+      let decode_commands = W.decode_commands_bin ~k ~dim:cfg.machine.M.input_dim in
+      match (fr.Frame.kind, decode_peer cfg sender) with
+      | Frame.Command, _ when sender = n -> (
+        match decode_commands fr.Frame.payload with
         | Some cs ->
-          record_recv ~round ();
-          if not (Hashtbl.mem inbox.commands round) then
-            Hashtbl.replace inbox.commands round (fr.Frame.payload, cs)
+          accept ~round (fun s ->
+              if Option.is_none s.command then
+                s.command <- Some (fr.Frame.payload, cs))
         | None -> record_bad ~round "bad-payload")
-      | Frame.Commit when sender >= 0 && sender < n && sender <> cfg.node -> (
-        match
-          W.decode_commands_bin ~k ~dim:cfg.machine.M.input_dim
-            fr.Frame.payload
-        with
+      | Frame.Commit, Some j -> (
+        match decode_commands fr.Frame.payload with
         | Some _ ->
-          record_recv ~round ();
-          if not (Hashtbl.mem inbox.commits (round, sender)) then
-            Hashtbl.replace inbox.commits (round, sender) fr.Frame.payload
+          accept ~round (fun s ->
+              if Option.is_none s.commits.(j) then begin
+                s.commits.(j) <- Some fr.Frame.payload;
+                s.n_commits <- s.n_commits + 1
+              end)
         | None -> record_bad ~round "bad-payload")
-      | Frame.Result when sender >= 0 && sender < n && sender <> cfg.node -> (
+      | Frame.Result, Some j -> (
         let dim = cfg.machine.M.state_dim + cfg.machine.M.output_dim in
         match W.decode_vector_bin ~dim fr.Frame.payload with
         | Some g ->
-          record_recv ~round ();
-          if not (Hashtbl.mem inbox.results (round, sender)) then
-            Hashtbl.replace inbox.results (round, sender) g
+          accept ~round (fun s ->
+              if Option.is_none s.results.(j) then begin
+                s.results.(j) <- Some g;
+                s.n_results <- s.n_results + 1
+              end)
         | None -> record_bad ~round "bad-payload")
-      | Frame.Shutdown when sender = n ->
+      | Frame.Shutdown, _ when sender = n ->
         record_recv ~round ();
         inbox.shutdown <- true
       | _ ->
@@ -366,32 +422,29 @@ module Make (F : Field_intf.S) = struct
            protocol level, counted like any other bad frame *)
         record_bad ~round "unexpected-kind")
 
-  (* Drain everything already delivered, waiting at most [within] for
-     the first frame. *)
-  let pump ?(within = 0.0) cfg tr inbox =
-    let rec drain ~timeout =
-      match tr.Transport.recv ~timeout with
-      | Some fr ->
-        dispatch cfg tr inbox fr;
-        drain ~timeout:0.0
-      | None -> ()
-    in
-    drain ~timeout:within
-
-  (* Pump until [cond] holds or [cfg.deadline] passes.  Every lap also
-     gives the streaming emitter a chance to fire — waits are where a
-     node spends its wall time, so this is what keeps deltas flowing
-     even while a round stalls on a straggler. *)
-  let wait_until cfg tr inbox cond =
+  (* Dispatch arriving frames until [cond] holds, the node shuts down
+     or [cfg.deadline] passes.  Each [recv] blocks for the time left,
+     or only until the streaming emitter's next delta is due — waits
+     are where a node spends its wall time, so this is what keeps
+     deltas flowing even while a round stalls on a straggler. *)
+  let wait_until cfg (tr : Transport.t) inbox cond =
     let limit = Unix.gettimeofday () +. cfg.deadline in
     let rec loop () =
-      pump cfg tr inbox;
       maybe_stream cfg tr inbox;
       if cond () then true
-      else if inbox.shutdown || Unix.gettimeofday () >= limit then cond ()
       else begin
-        pump ~within:0.05 cfg tr inbox;
-        loop ()
+        let now = Unix.gettimeofday () in
+        if inbox.shutdown || now >= limit then false
+        else begin
+          let until =
+            match cfg.stream with
+            | Some _ -> Float.min limit inbox.st_next
+            | None -> limit
+          in
+          Option.iter (dispatch cfg tr inbox)
+            (tr.Transport.recv ~timeout:(until -. now));
+          loop ()
+        end
       end
     in
     loop ()
@@ -408,13 +461,12 @@ module Make (F : Field_intf.S) = struct
     let n = cfg.params.Params.n in
     let b = cfg.params.Params.b in
     let me = cfg.node in
+    let slot = slot_for cfg inbox r in
     (* 1. the round's commands, from the client *)
-    let got_commands =
-      wait_until cfg tr inbox (fun () -> Hashtbl.mem inbox.commands r)
-    in
-    if not got_commands then false
-    else begin
-      let cmd_payload, commands = Hashtbl.find inbox.commands r in
+    ignore (wait_until cfg tr inbox (fun () -> Option.is_some slot.command));
+    match slot.command with
+    | None -> false
+    | Some (cmd_payload, commands) ->
       phase inbox ~round:r "commands";
       (* 2. commit: echo the command payload to every peer, then wait
          for the peers expected to deliver; proceed on b+1 matching
@@ -424,20 +476,17 @@ module Make (F : Field_intf.S) = struct
         if j <> me then send_protocol cfg inbox tr ~dst:j commit
       done;
       let expected_commits = expected_peers cfg - 1 (* peers, sans self *) in
-      let commits_in () =
-        Hashtbl.fold
-          (fun (r', _) _ acc -> if r' = r then acc + 1 else acc)
-          inbox.commits 0
-      in
-      ignore (wait_until cfg tr inbox (fun () -> commits_in () >= expected_commits));
+      ignore
+        (wait_until cfg tr inbox (fun () -> slot.n_commits >= expected_commits));
       let matching =
-        1
-        + Hashtbl.fold
-            (fun (r', _) p acc -> if r' = r && p = cmd_payload then acc + 1 else acc)
-            inbox.commits 0
+        Array.fold_left
+          (fun acc p ->
+            match p with
+            | Some p when String.equal p cmd_payload -> acc + 1
+            | _ -> acc)
+          1 slot.commits
       in
-      let committed = matching >= b + 1 in
-      if not committed then false
+      if matching < b + 1 then false
       else begin
       phase inbox ~round:r "committed";
       (* 3. compute gᵢ over the committed commands *)
@@ -445,21 +494,17 @@ module Make (F : Field_intf.S) = struct
       let g = E.node_compute engine ~node:me ~coded_command in
       phase inbox ~round:r "computed";
       (* 4. broadcast the result, keep our own.  A [Lie] node ships a
-         well-formed but wrong vector (coordinates nudged per its
-         lie_spec, on the spec's round schedule) while keeping the
-         honest gᵢ locally — intake validation passes everywhere and
-         only the peers' Reed–Solomon decode catches and attributes the
-         lie *)
+         well-formed but wrong vector (the engine's adversary
+         interpreter applies its lie, on the spec's round schedule)
+         while keeping the honest gᵢ locally — intake validation passes
+         everywhere and only the peers' Reed–Solomon decode catches and
+         attributes the lie *)
       let broadcast_g =
         match cfg.fault with
         | Lie l when lie_active l ~round:r ->
-          let off = F.of_int l.l_offset in
-          (match l.l_coord with
-          | None -> Array.map (fun x -> F.add x off) g
-          | Some c ->
-            let g' = Array.copy g in
-            if c >= 0 && c < Array.length g' then g'.(c) <- F.add g'.(c) off;
-            g')
+          Option.value ~default:g
+            (E.corrupt_result engine (lie_action l) ~node:me ~round:r
+               ~observer:me g)
         | _ -> g
       in
       let result =
@@ -469,22 +514,16 @@ module Make (F : Field_intf.S) = struct
       for j = 0 to n - 1 do
         if j <> me then send_protocol cfg inbox tr ~dst:j result
       done;
-      Hashtbl.replace inbox.results (r, me) g;
+      slot.results.(me) <- Some g;
+      slot.n_results <- slot.n_results + 1;
       (* 5. collect and decode *)
       let expected_results = expected_peers cfg in
-      let results_in () =
-        Hashtbl.fold
-          (fun (r', _) _ acc -> if r' = r then acc + 1 else acc)
-          inbox.results 0
-      in
       ignore
-        (wait_until cfg tr inbox (fun () -> results_in () >= expected_results));
+        (wait_until cfg tr inbox (fun () -> slot.n_results >= expected_results));
       let received =
-        List.sort
-          (fun (a, _) (b, _) -> Int.compare a b)
-          (Hashtbl.fold
-             (fun (r', j) g acc -> if r' = r then (j, g) :: acc else acc)
-             inbox.results [])
+        List.filter_map
+          (fun j -> Option.map (fun g -> (j, g)) slot.results.(j))
+          (List.init n Fun.id)
       in
       (* the engine's default decoder: optimistic verify-first fast
          path, with Gao + suspicion-guided erasures as fallback *)
@@ -516,7 +555,6 @@ module Make (F : Field_intf.S) = struct
         E.node_update_state engine ~node:me ~next_states:d.E.next_states;
         true
       end
-    end
 
   (* Binary stats payload: five big-endian u64 counters. *)
   let stats_payload (s : Transport.stats) =
@@ -564,15 +602,22 @@ module Make (F : Field_intf.S) = struct
     let node_attr = [ ("node", string_of_int cfg.node) ] in
     for r = 0 to cfg.rounds - 1 do
       if not inbox.shutdown then begin
+        inbox.round <- r;
         let t0 = Unix.gettimeofday () in
         ignore
           (Span.with_ ~name:"node.round"
              ~attrs:(("round", string_of_int r) :: node_attr)
              (fun () -> run_round cfg tr engine inbox r));
-        if Metric.enabled () then
-          Metric.observe Tel.round_latency (Unix.gettimeofday () -. t0)
+        if Metric.enabled () then begin
+          Metric.observe Tel.round_latency (Unix.gettimeofday () -. t0);
+          Metric.set
+            (Tel.node_retained_rounds ~node:cfg.node)
+            (float_of_int (Hashtbl.length inbox.slots))
+        end;
+        Hashtbl.remove inbox.slots r
       end
     done;
+    inbox.round <- cfg.rounds;
     (* flush the emitter so the final cumulative values are on the wire
        before the shutdown handshake *)
     if cfg.stream <> None then begin

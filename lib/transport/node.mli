@@ -4,7 +4,9 @@
     are validated at intake with the total binary decoders: malformed
     bodies count one transport frame error and are dropped, never
     raised; collect loops are deadline-bounded so silent peers cannot
-    stall a round. *)
+    stall a round.  State is bounded: at most two live round slots, as
+    a frame more than one round ahead of the node is a [bad-round]
+    frame error. *)
 
 module Field_intf = Csm_field.Field_intf
 module Frame = Csm_wire.Frame

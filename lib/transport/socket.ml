@@ -1,27 +1,26 @@
 (* Real socket transport: one listening socket per endpoint (Unix
    domain by default, TCP loopback optionally), length-prefixed frames
-   on byte streams.
+   on byte streams, and one I/O thread per endpoint looping on
+   [Unix.select] over the listener, the accepted connections, the peers
+   with bytes to write and the wake pipe of its outbox.  Every socket is
+   non-blocking.
 
-   Receive path: an accept thread hands each inbound connection to a
-   reader thread that loops { read 16 header bytes; validate via
-   [Frame.decode_header]; read the claimed body } and pushes decoded
-   frames into the endpoint's mailbox.  A malformed header is
-   unrecoverable on a byte stream (framing is lost), so it counts one
-   frame error and drops the connection — the sender can reconnect; the
-   receiver never crashes.
+   Receive path: a connection's buffer fills with the 16 header bytes,
+   which [Frame.decode_header] validates before the claimed body is
+   allocated, then with the body; decoded frames go to the inbox, where
+   [recv] blocks.  A malformed header is unrecoverable on a byte stream
+   (framing is lost), so it counts one frame error and drops the
+   connection — the sender can reconnect; the receiver never crashes.
 
-   Send path: per-peer queues drained by per-peer sender threads, so
-   [send] returns immediately and a dead or silent peer cannot stall a
-   protocol round.  Connections are opened lazily with retry and
-   exponential backoff (peers of a freshly forked cluster come up in
-   arbitrary order); a frame that cannot be written after a reconnect
-   is dropped.
-
-   Deadlines: [recv ~timeout] bounds how long a round waits on the
-   mailbox, the receiver-side defence against withholding peers. *)
+   Send path: [send] queues the encoded frame and returns, so a dead or
+   silent peer cannot stall a protocol round.  Connections open lazily
+   with exponential backoff (peers of a freshly forked cluster come up
+   in arbitrary order); a frame whose write fails gets one reconnect and
+   is then dropped.  SIGPIPE is ignored, so a peer that closed its end
+   fails the write with EPIPE instead of killing the process. *)
 
 module Frame = Csm_wire.Frame
-module Lockdep = Csm_parallel.Lockdep
+module Mailbox = Transport.Mailbox
 
 type addr =
   | Uds of string  (* directory holding ep-<id>.sock *)
@@ -33,54 +32,51 @@ let sockaddr_of addr id =
     Unix.ADDR_UNIX (Filename.concat dir (Printf.sprintf "ep-%d.sock" id))
   | Tcp base -> Unix.ADDR_INET (Unix.inet_addr_loopback, base + id)
 
-let poll_interval = 0.0005
-
 (* Backoff schedule for connect retries: 2ms doubling, capped. *)
 let backoff_delay attempt = min 0.1 (0.002 *. (2. ** float_of_int attempt))
 
-let rec really_read fd buf pos len =
-  if len > 0 then begin
-    let n = Unix.read fd buf pos len in
-    if n = 0 then raise End_of_file;
-    really_read fd buf (pos + n) (len - n)
-  end
+(* How long [close] lets the I/O thread flush queued frames. *)
+let flush_window = 1.0
 
-let rec really_write fd buf pos len =
-  if len > 0 then begin
-    let n = Unix.write fd buf pos len in
-    really_write fd buf (pos + n) (len - n)
-  end
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-type peer = {
-  pq : string Queue.t;
-  pm : Lockdep.t;
-  pc : Condition.t;
-  mutable fd : Unix.file_descr option;
-  mutable started : bool;
-  mutable writing : bool;
-      (* a frame popped from [pq] is still being written; under [pm] *)
+(* An accepted connection: [buf] is [head] until the header is in,
+   then the body. *)
+type conn = {
+  cfd : Unix.file_descr;
+  head : Bytes.t;
+  mutable hdr : Frame.header option;
+  mutable buf : Bytes.t;
+  mutable fill : int;
 }
+
+(* The link to one destination. *)
+type peer = {
+  out : string Queue.t;  (* encoded frames, oldest first *)
+  mutable fd : Unix.file_descr option;
+  mutable off : int;  (* bytes of the head frame already written *)
+  mutable retried : bool;  (* the head frame has had its one reconnect *)
+  mutable attempt : int;  (* failed connects since the last success *)
+  mutable retry_at : float;  (* no connect before this time *)
+}
+
+type cmd = Send of int * string | Stop
 
 let endpoint ~addr ~id ~endpoints =
   if id < 0 || id >= endpoints then invalid_arg "Socket.endpoint: bad id";
-  let closed = ref false in
-  let incoming : Frame.t Queue.t = Queue.create () in
-  let im = Lockdep.create "socket.incoming" in
-  let conns : Unix.file_descr list ref = ref [] in
-  let cm = Lockdep.create "socket.conns" in
-  (* --- listener --- *)
-  let domain =
-    match addr with Uds _ -> Unix.PF_UNIX | Tcp _ -> Unix.PF_INET
-  in
-  let listener = Unix.socket domain Unix.SOCK_STREAM 0 in
-  let sa = sockaddr_of addr id in
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let domain = match addr with Uds _ -> Unix.PF_UNIX | Tcp _ -> Unix.PF_INET in
+  let listener = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
   (match addr with
   | Uds dir ->
     (try Unix.unlink (Filename.concat dir (Printf.sprintf "ep-%d.sock" id))
      with Unix.Unix_error _ -> ())
   | Tcp _ -> Unix.setsockopt listener Unix.SO_REUSEADDR true);
-  Unix.bind listener sa;
+  Unix.bind listener (sockaddr_of addr id);
   Unix.listen listener 64;
+  Unix.set_nonblock listener;
+  let inbox : Frame.t Mailbox.t = Mailbox.create "socket.inbox" in
+  let outbox : cmd Mailbox.t = Mailbox.create "socket.outbox" in
   let t =
     {
       Transport.id;
@@ -89,198 +85,205 @@ let endpoint ~addr ~id ~endpoints =
       recv = (fun ~timeout:_ -> None);
       close = (fun () -> ());
       stats = Transport.zero_stats ();
-      stats_mutex = Lockdep.create "socket.stats";
+      stats_mutex = Csm_parallel.Lockdep.create "socket.stats";
     }
   in
-  (* --- readers --- *)
-  let reader conn =
-    let hdr = Bytes.create Frame.header_bytes in
-    (try
-       while not !closed do
-         really_read conn hdr 0 Frame.header_bytes;
-         match Frame.decode_header (Bytes.to_string hdr) with
-         | None ->
-           (* framing lost: count and drop the connection *)
-           Transport.record_error t;
-           raise Exit
-         | Some h ->
-           let body_len = Frame.body_bytes h in
-           let body = Bytes.create body_len in
-           really_read conn body 0 body_len;
-           Transport.record_received t (Frame.header_bytes + body_len);
-           (match Frame.of_header h ~body:(Bytes.unsafe_to_string body) with
-           | Some fr -> Lockdep.with_lock im (fun () -> Queue.push fr incoming)
-           | None -> Transport.record_error t)
-       done
-     with
-    | End_of_file | Exit | Unix.Unix_error _ -> ()
-    | _ -> ());
-    Lockdep.with_lock cm (fun () ->
-        conns := List.filter (fun fd -> fd != conn) !conns);
-    try Unix.close conn with Unix.Unix_error _ -> ()
-  in
-  let _accept_thread =
-    Thread.create
-      (fun () ->
-        try
-          while not !closed do
-            let conn, _ = Unix.accept listener in
-            Lockdep.with_lock cm (fun () -> conns := conn :: !conns);
-            ignore (Thread.create reader conn)
-          done
-        with Unix.Unix_error _ | Invalid_argument _ -> ())
-      ()
-  in
-  (* --- senders --- *)
-  let peers =
-    Array.init endpoints (fun _ ->
-        {
-          pq = Queue.create ();
-          pm = Lockdep.create "socket.peer";
-          pc = Condition.create ();
-          fd = None;
-          started = false;
-          writing = false;
-        })
-  in
-  let connect_with_backoff dst =
-    let rec go attempt =
-      if !closed then None
-      else begin
-        let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-        match Unix.connect fd (sockaddr_of addr dst) with
-        | () -> Some fd
-        | exception Unix.Unix_error _ ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          Thread.delay (backoff_delay attempt);
-          go (attempt + 1)
-      end
+  (* --- the I/O thread; all state below is private to it --- *)
+  let io () =
+    let chunk = Bytes.create 65536 in
+    let conns = ref [] in
+    let peers =
+      Array.init endpoints (fun _ ->
+          {
+            out = Queue.create ();
+            fd = None;
+            off = 0;
+            retried = false;
+            attempt = 0;
+            retry_at = 0.0;
+          })
     in
-    go 0
-  in
-  let sender_loop dst =
-    let peer = peers.(dst) in
-    let ensure_fd () =
-      match peer.fd with
-      | Some fd -> Some fd
-      | None ->
-        let fd = connect_with_backoff dst in
-        peer.fd <- fd;
-        fd
+    let stop_at = ref Float.infinity in
+    let drop_conn c =
+      conns := List.filter (fun c' -> c' != c) !conns;
+      close_quietly c.cfd
     in
-    let write_frame bytes =
-      let attempt fd =
-        try
-          really_write fd (Bytes.unsafe_of_string bytes) 0 (String.length bytes);
-          true
-        with Unix.Unix_error _ | End_of_file ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          peer.fd <- None;
+    (* [c.buf] is full: validate the header or deliver the body; false
+       when framing is lost *)
+    let rec complete c =
+      match c.hdr with
+      | None -> (
+        match Frame.decode_header (Bytes.to_string c.head) with
+        | None ->
+          Transport.record_error t;
           false
-      in
-      match ensure_fd () with
-      | None -> ()  (* endpoint closed while retrying: drop *)
-      | Some fd ->
-        if not (attempt fd) then (
-          (* one reconnect, then give up on this frame *)
-          match ensure_fd () with
-          | Some fd2 -> ignore (attempt fd2)
-          | None -> ())
+        | Some h ->
+          let body_len = Frame.body_bytes h in
+          let body = Bytes.create body_len in
+          c.hdr <- Some h;
+          c.buf <- body;
+          c.fill <- 0;
+          body_len > 0 || complete c)
+      | Some h ->
+        Transport.record_received t (Frame.header_bytes + Bytes.length c.buf);
+        (match Frame.of_header h ~body:(Bytes.unsafe_to_string c.buf) with
+        | Some fr -> Mailbox.push inbox fr
+        | None -> Transport.record_error t);
+        c.hdr <- None;
+        c.buf <- c.head;
+        c.fill <- 0;
+        true
+    in
+    let read_conn c =
+      match Unix.read c.cfd chunk 0 (Bytes.length chunk) with
+      | 0 -> drop_conn c
+      | n ->
+        let pos = ref 0 and ok = ref true in
+        while !ok && !pos < n do
+          let take = min (Bytes.length c.buf - c.fill) (n - !pos) in
+          Bytes.blit chunk !pos c.buf c.fill take;
+          c.fill <- c.fill + take;
+          pos := !pos + take;
+          if c.fill = Bytes.length c.buf then ok := complete c
+        done;
+        if not !ok then drop_conn c
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+        ->
+        ()
+      | exception Unix.Unix_error _ -> drop_conn c
+    in
+    let rec accept () =
+      match Unix.accept ~cloexec:true listener with
+      | fd, _ ->
+        Unix.set_nonblock fd;
+        let head = Bytes.create Frame.header_bytes in
+        conns := { cfd = fd; head; hdr = None; buf = head; fill = 0 } :: !conns;
+        accept ()
+      | exception Unix.Unix_error _ -> ()
+    in
+    let disconnect p =
+      Option.iter close_quietly p.fd;
+      p.fd <- None;
+      p.off <- 0
+    in
+    let connect dst p now =
+      let fd = ref None in
+      try
+        let s = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
+        fd := Some s;
+        Unix.connect s (sockaddr_of addr dst);
+        Unix.set_nonblock s;
+        p.fd <- !fd;
+        p.attempt <- 0
+      with Unix.Unix_error _ ->
+        Option.iter close_quietly !fd;
+        p.retry_at <- now +. backoff_delay p.attempt;
+        p.attempt <- p.attempt + 1
+    in
+    (* Write queued frames until the socket would block.  A failed write
+       drops the link; the frame goes out whole on the next one, once. *)
+    let rec flush p =
+      match p.fd with
+      | Some fd when not (Queue.is_empty p.out) -> (
+        let bytes = Queue.peek p.out in
+        let len = String.length bytes in
+        match Unix.write_substring fd bytes p.off (len - p.off) with
+        | n ->
+          p.off <- p.off + n;
+          if p.off = len then begin
+            ignore (Queue.pop p.out);
+            p.off <- 0;
+            p.retried <- false;
+            flush p
+          end
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+          ->
+          ()
+        | exception Unix.Unix_error _ ->
+          disconnect p;
+          if p.retried then ignore (Queue.pop p.out);
+          p.retried <- not p.retried)
+      | _ -> ()
+    in
+    let pending p = not (Queue.is_empty p.out) in
+    let rec take_cmds () =
+      match Mailbox.try_pop outbox with
+      | Some (Send (dst, bytes)) ->
+        Queue.push bytes peers.(dst).out;
+        take_cmds ()
+      | Some Stop ->
+        stop_at := Unix.gettimeofday () +. flush_window;
+        take_cmds ()
+      | None -> ()
     in
     let rec loop () =
-      let item =
-        Lockdep.with_lock peer.pm (fun () ->
-            peer.writing <- false;
-            while Queue.is_empty peer.pq && not !closed do
-              Lockdep.wait peer.pc peer.pm
-            done;
-            if Queue.is_empty peer.pq then None
-            else begin
-              peer.writing <- true;
-              Some (Queue.pop peer.pq)
-            end)
-      in
-      match item with
-      | Some bytes ->
-        write_frame bytes;
+      let now = Unix.gettimeofday () in
+      Array.iteri
+        (fun dst p ->
+          if pending p && Option.is_none p.fd && now >= p.retry_at then
+            connect dst p now;
+          flush p)
+        peers;
+      let stopping = Float.is_finite !stop_at in
+      if not (stopping && (now >= !stop_at || not (Array.exists pending peers)))
+      then begin
+        (* sleep until a socket or the outbox is ready, the next
+           reconnect is due or the flush window ends *)
+        let timeout =
+          Array.fold_left
+            (fun acc p ->
+              if pending p && Option.is_none p.fd then
+                Float.min acc (p.retry_at -. now)
+              else acc)
+            (!stop_at -. now) peers
+        in
+        let writes =
+          Array.fold_left
+            (fun acc p ->
+              match p.fd with Some fd when pending p -> fd :: acc | _ -> acc)
+            [] peers
+        in
+        (match
+           Unix.select
+             (listener :: Mailbox.wake_fd outbox
+             :: List.map (fun c -> c.cfd) !conns)
+             writes []
+             (if Float.is_finite timeout then Float.max 0.0 timeout else -1.0)
+         with
+        | readable, _, _ ->
+          take_cmds ();
+          if List.memq listener readable then accept ();
+          List.iter
+            (fun c -> if List.memq c.cfd readable then read_conn c)
+            !conns
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
         loop ()
-      | None -> ()  (* closed and drained *)
+      end
     in
-    loop ()
+    loop ();
+    Array.iter disconnect peers;
+    List.iter (fun c -> close_quietly c.cfd) !conns;
+    close_quietly listener
   in
+  let thread = Thread.create io () in
   let send ~dst frame =
-    if (not !closed) && dst >= 0 && dst < endpoints then begin
+    if (not (Mailbox.closed outbox)) && dst >= 0 && dst < endpoints then begin
       let bytes = Frame.encode frame in
       Transport.record_sent t (String.length bytes);
-      let peer = peers.(dst) in
-      Lockdep.with_lock peer.pm (fun () ->
-          if not peer.started then begin
-            peer.started <- true;
-            ignore (Thread.create sender_loop dst)
-          end;
-          Queue.push bytes peer.pq;
-          Condition.signal peer.pc)
+      Mailbox.push outbox (Send (dst, bytes))
     end
   in
   let recv ~timeout =
-    let deadline = Unix.gettimeofday () +. timeout in
-    let rec loop () =
-      if !closed then None
-      else begin
-        let item =
-          Lockdep.with_lock im (fun () ->
-              if Queue.is_empty incoming then None
-              else Some (Queue.pop incoming))
-        in
-        match item with
-        | Some fr -> Some fr
-        | None ->
-          if Unix.gettimeofday () >= deadline then None
-          else begin
-            Thread.delay poll_interval;
-            loop ()
-          end
-      end
-    in
-    loop ()
+    Mailbox.pop inbox ~deadline:(Unix.gettimeofday () +. timeout)
   in
   let close () =
-    if not !closed then begin
-      (* let sender threads flush their queues (bounded), including a
-         popped frame still in [really_write]: closing its fd mid-write
-         would truncate it on the wire *)
-      let flush_deadline = Unix.gettimeofday () +. 1.0 in
-      let pending () =
-        Array.exists
-          (fun p ->
-            Lockdep.with_lock p.pm (fun () ->
-                p.writing || not (Queue.is_empty p.pq)))
-          peers
-      in
-      while pending () && Unix.gettimeofday () < flush_deadline do
-        Thread.delay 0.002
-      done;
-      closed := true;
-      Array.iter
-        (fun p ->
-          Lockdep.with_lock p.pm (fun () -> Condition.broadcast p.pc))
-        peers;
-      (try Unix.close listener with Unix.Unix_error _ -> ());
-      Array.iter
-        (fun p ->
-          match p.fd with
-          | Some fd -> (
-            p.fd <- None;
-            try Unix.close fd with Unix.Unix_error _ -> ())
-          | None -> ())
-        peers;
-      let cs =
-        Lockdep.with_lock cm (fun () ->
-            let cs = !conns in
-            conns := [];
-            cs)
-      in
-      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) cs;
+    if not (Mailbox.closed outbox) then begin
+      (* the I/O thread flushes first (bounded), so a frame still being
+         written is not cut *)
+      Mailbox.push outbox Stop;
+      Thread.join thread;
+      Mailbox.close inbox;
+      Mailbox.close outbox;
       match addr with
       | Uds dir -> (
         try Unix.unlink (Filename.concat dir (Printf.sprintf "ep-%d.sock" id))

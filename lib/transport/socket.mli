@@ -1,8 +1,11 @@
 (** Real socket transport (Unix-domain or TCP loopback): one listening
     socket per endpoint, length-prefixed {!Csm_wire.Frame} frames on the
-    byte stream, per-peer sender threads with connection retry and
-    exponential backoff, reader threads that validate every header and
-    count malformed frames instead of crashing. *)
+    byte stream, and one I/O thread per endpoint that [select]s over
+    the listener, the connections and the peers with queued frames.
+    Sockets are non-blocking; outbound links connect lazily with
+    exponential backoff; every inbound header is validated before its
+    body is allocated, and malformed frames are counted instead of
+    crashing.  SIGPIPE is ignored once an endpoint exists. *)
 
 type addr =
   | Uds of string

@@ -8,9 +8,10 @@
    - [send] hands a frame to the transport and returns immediately; it
      never blocks on a dead, slow or silent peer (per-peer queues, so a
      Byzantine peer cannot stall a round from the sender side);
-   - [recv] returns the next delivered frame, waiting at most [timeout]
-     seconds; [None] means the deadline passed — the receiver-side
-     guard against silent peers;
+   - [recv] blocks until a frame is delivered or [timeout] seconds
+     pass; [None] means the deadline passed — the receiver-side guard
+     against silent peers.  Waiting costs no CPU: every endpoint waits
+     on one {!Mailbox};
    - a frame that fails header validation is counted in
      [stats.frame_errors] and dropped, never surfaced as an exception;
    - [stats] counts frames/bytes at the moment of hand-off to the
@@ -62,6 +63,70 @@ let record_received t bytes =
 
 let record_error t =
   locked t (fun () -> t.stats.frame_errors <- t.stats.frame_errors + 1)
+
+(* A blocking FIFO between threads: a queue under a lock, plus a wake
+   pipe holding one byte exactly while the queue is non-empty (both
+   changed under the lock).  Waiters select on the pipe, so a burst of
+   pushes costs one wakeup and an idle wait no CPU. *)
+module Mailbox = struct
+  type 'a t = {
+    q : 'a Queue.t;
+    m : Lockdep.t;
+    pipe : Unix.file_descr * Unix.file_descr;  (* read end, write end *)
+    byte : Bytes.t;
+    mutable closed : bool;
+  }
+
+  let create name =
+    {
+      q = Queue.create ();
+      m = Lockdep.create name;
+      pipe = Unix.pipe ~cloexec:true ();
+      byte = Bytes.make 1 '!';
+      closed = false;
+    }
+
+  let wake_fd t = fst t.pipe
+  let closed t = Lockdep.with_lock t.m (fun () -> t.closed)
+
+  let push t x =
+    Lockdep.with_lock t.m (fun () ->
+        if not t.closed then begin
+          if Queue.is_empty t.q then ignore (Unix.write (snd t.pipe) t.byte 0 1);
+          Queue.push x t.q
+        end)
+
+  let try_pop t =
+    Lockdep.with_lock t.m (fun () ->
+        if t.closed || Queue.is_empty t.q then None
+        else begin
+          let x = Queue.pop t.q in
+          if Queue.is_empty t.q then ignore (Unix.read (fst t.pipe) t.byte 0 1);
+          Some x
+        end)
+
+  let rec pop t ~deadline =
+    match try_pop t with
+    | Some _ as x -> x
+    | None ->
+      let left = deadline -. Unix.gettimeofday () in
+      if left <= 0.0 || closed t then None
+      else begin
+        (* EINTR, or EBADF from a concurrent close: look again *)
+        (try ignore (Unix.select [ fst t.pipe ] [] [] left)
+         with Unix.Unix_error _ -> ());
+        pop t ~deadline
+      end
+
+  let close t =
+    Lockdep.with_lock t.m (fun () ->
+        if not t.closed then begin
+          t.closed <- true;
+          Queue.clear t.q;
+          Unix.close (fst t.pipe);
+          Unix.close (snd t.pipe)
+        end)
+end
 
 let snapshot t =
   locked t (fun () ->

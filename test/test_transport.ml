@@ -637,6 +637,86 @@ let cluster_loopback_streaming () =
       check Alcotest.string "state unchanged by stale delta" before
         (Csm_obs.Prom.render_views (Live.node_views live)))
 
+(* Bounded node state: over a 100-round run with a liar and a dropper
+   every node ends each round holding at most two round slots — the
+   running round's and the next one's. *)
+let cluster_loopback_retention () =
+  Metric.enable ();
+  Metric.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metric.reset ();
+      Metric.disable ())
+    (fun () ->
+      let n = 5 in
+      let cfg =
+        {
+          (cluster_cfg ~rounds:100
+             ~faults:[ (1, Node.Lie Node.lie_default); (2, Node.Drop) ]
+             ())
+          with
+          C.params = Params.make ~network:Params.Sync ~n ~k:1 ~d:1 ~b:2;
+        }
+      in
+      checkb "verified" true (C.run cfg).C.ok;
+      for i = 0 to n - 1 do
+        let v =
+          Metric.gauge_value (Csm_obs.Telemetry.node_retained_rounds ~node:i)
+        in
+        checkb
+          (Printf.sprintf "node %d retains %g round slots" i v)
+          true
+          (v >= 1.0 && v <= 2.0)
+      done)
+
+(* The window rule: while a node waits in round 0, a valid Commit for
+   round 3 is a bad-round error and one for round 1 is kept, so the
+   node's Stats reply counts exactly one frame error. *)
+let node_window_rule () =
+  let cfg = cluster_cfg ~rounds:4 () in
+  let n = cfg.C.params.Params.n in
+  let net = Loopback.create ~endpoints:(n + 1) in
+  let node =
+    {
+      N.node = 0;
+      params = cfg.C.params;
+      machine = C.machine cfg;
+      init = C.initial_states cfg;
+      rounds = cfg.C.rounds;
+      fault = Node.Honest;
+      faults = [];
+      deadline = 10.0;
+      trace = false;
+      telemetry = false;
+      stream = None;
+      scope = Agg.Process;
+    }
+  in
+  let th = Thread.create (N.run node) (Loopback.endpoint net ~id:0) in
+  let peer = Loopback.endpoint net ~id:1 in
+  let client = Loopback.endpoint net ~id:n in
+  let payload = W.encode_commands_bin (C.workload (Csm_rng.create 1) ~k:1 0) in
+  List.iter
+    (fun round ->
+      peer.Transport.send ~dst:0
+        (Frame.make ~kind:Frame.Commit ~sender:1 ~round payload))
+    [ 3; 1 ];
+  client.Transport.send ~dst:0
+    (Frame.make ~kind:Frame.Shutdown ~sender:n ~round:cfg.C.rounds "");
+  let rec stats () =
+    match client.Transport.recv ~timeout:10.0 with
+    | Some fr when Frame.kind_eq fr.Frame.kind Frame.Stats ->
+      N.decode_stats_payload fr.Frame.payload
+    | Some _ -> stats ()
+    | None -> None
+  in
+  (match stats () with
+  | Some s -> check Alcotest.int "one bad-round error" 1 s.Transport.frame_errors
+  | None -> Alcotest.fail "no Stats reply");
+  Thread.join th;
+  peer.Transport.close ();
+  client.Transport.close ()
+
 (* ----- loopback vs socket equivalence through the binary ----- *)
 
 (* The driver is a declared dune dep living next to this executable's
@@ -731,6 +811,28 @@ let socket_corrupt_detected () =
          done;
          !found))
 
+(* A peer that closes its end must not kill the sender: a child
+   process keeps sending to a closed socket endpoint and must exit 0
+   (without SIGPIPE ignored it dies of signal 13). *)
+let socket_send_to_closed_peer () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "sigpipe_child.exe"
+  in
+  let dir = Filename.temp_dir "csm_sigpipe" "" in
+  Fun.protect
+    ~finally:(fun () -> try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () ->
+      let pid =
+        Unix.create_process exe [| exe; dir |] Unix.stdin Unix.stdout
+          Unix.stderr
+      in
+      match snd (Unix.waitpid [] pid) with
+      | Unix.WEXITED 0 -> ()
+      | Unix.WEXITED c -> Alcotest.failf "child exited %d" c
+      | Unix.WSIGNALED s | Unix.WSTOPPED s ->
+        Alcotest.failf "child killed by signal %d%s" s
+          (if s = Sys.sigpipe then " (SIGPIPE)" else ""))
+
 (* [close] must not cut a frame its sender thread is still writing:
    send a multi-MiB frame and close at once, five times over; the live
    reader endpoint must receive every frame intact. *)
@@ -812,5 +914,11 @@ let suites =
           socket_corrupt_detected;
         Alcotest.test_case "socket close flushes an in-flight frame" `Quick
           socket_close_flushes_inflight_frame;
+        Alcotest.test_case "socket send to a closed peer survives" `Quick
+          socket_send_to_closed_peer;
+        Alcotest.test_case "cluster loopback retains at most 2 rounds" `Quick
+          cluster_loopback_retention;
+        Alcotest.test_case "node window rejects a frame 2 rounds ahead" `Quick
+          node_window_rule;
       ] );
   ]
