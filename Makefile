@@ -1,6 +1,6 @@
 # Convenience wrappers around dune; `make ci` is the full local gate.
 
-.PHONY: all build test lint lint-update lockdep-export bench-smoke bench-gate rs-smoke metrics-smoke cluster-smoke obs-smoke live-smoke adversary-smoke ci clean
+.PHONY: all build test loc lint lint-update lockdep-export bench-smoke bench-gate rs-smoke metrics-smoke cluster-smoke obs-smoke live-smoke adversary-smoke ci clean
 
 all: build
 
@@ -9,6 +9,10 @@ build:
 
 test:
 	dune runtest
+
+# The lib/ + bin/ OCaml line count that CHANGES.md entries quote.
+loc:
+	@cat lib/*/*.ml lib/*/*.mli bin/*.ml | wc -l
 
 # Repo-invariant static analysis (bin/csm_lint.ml): per-file rules
 # R1-R5 (determinism boundary, polymorphic comparison, mutex

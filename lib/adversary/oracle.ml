@@ -121,19 +121,8 @@ let without_metrics f =
   end
   else f ()
 
-let eq_vec a b =
-  Array.length a = Array.length b
-  &&
-  let ok = ref true in
-  Array.iteri (fun i x -> if not (F.equal x b.(i)) then ok := false) a;
-  !ok
-
-let eq_mat a b =
-  Array.length a = Array.length b
-  &&
-  let ok = ref true in
-  Array.iteri (fun i row -> if not (eq_vec row b.(i)) then ok := false) a;
-  !ok
+let eq_vec a b = Array.length a = Array.length b && Array.for_all2 F.equal a b
+let eq_mat a b = Array.length a = Array.length b && Array.for_all2 eq_vec a b
 
 (* Honest observers whose decode we audit: the lowest honest node plus
    every honest node a Silence step singles out (those see a different
@@ -288,7 +277,7 @@ let check_output inst strat =
       (List.init inst.n (fun i -> i))
   in
   let verdict =
-    match P.vote ~threshold responses with
+    match Csm_core.Replica.vote ~equal:eq_vec ~threshold responses with
     | None ->
       Violation { kind = Liveness; detail = "client vote reached no value" }
     | Some v ->

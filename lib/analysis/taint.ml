@@ -131,7 +131,8 @@ type sink = {
    here is the adversary writing coded state. *)
 let state_scope =
   [
-    "lib/core/engine."; "lib/smr/"; "lib/transport/node."; "lib/consensus/";
+    "lib/core/engine."; "lib/core/replica."; "lib/smr/"; "lib/transport/node.";
+    "lib/consensus/";
   ]
 
 let sinks =

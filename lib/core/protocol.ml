@@ -1,20 +1,21 @@
-(* The full networked CSM protocol (Figure 1): consensus phase + coded
-   execution phase over the discrete-event simulator, with client-side
-   output delivery.
+(* The full networked CSM protocol (Figure 1) over the discrete-event
+   simulator: consensus, coded execution, client-side delivery.
 
    Synchronous rounds:
      1. consensus on the round's command vector via Dolev–Strong signed
         broadcast, leader rotating per round (a Byzantine leader can at
         worst force ⊥, skipping its round);
-     2. every node computes gᵢ on its coded state and broadcasts it;
+     2. execution: every honest node runs the {!Replica} core — the
+        socket runtime's round — from the agreed commands, broadcasting
+        gᵢ and decoding at the Δ+1 timer (or early, at min_results);
         Byzantine nodes may send different corrupted vectors to
         different peers (equivocation) or withhold;
-     3. after Δ each node decodes the N results (up to b wrong) and
-        sends each machine's output to the submitting client;
-     4. a client accepts an output on b+1 matching responses.
+     3. each node sends each machine's decoded output to the client;
+     4. a client accepts an output on b+1 matching responses
+        ({!Replica.vote}).
 
    Partially synchronous rounds use PBFT for consensus, and a node
-   starts decoding as soon as N − b results have arrived (it cannot
+   decodes as soon as N − b results have arrived (it cannot
    distinguish a withholding fault from a slow link). *)
 
 module Field_intf = Csm_field.Field_intf
@@ -30,7 +31,8 @@ module Tel = Csm_obs.Telemetry
 module Event = Csm_obs.Event
 
 module Make (F : Field_intf.S) = struct
-  module E = Engine.Make (F)
+  module R = Replica.Make (F)
+  module E = R.E
   module W = Wire.Make (F)
 
   type config = {
@@ -70,6 +72,9 @@ module Make (F : Field_intf.S) = struct
        endpoint); a silence toward it withholds the output. *)
   let byzantine adv i = List.mem i (Strategy.byz_nodes adv)
 
+  let vector_equal a b =
+    Array.length a = Array.length b && Array.for_all2 F.equal a b
+
   (* What Byzantine node [node] sends [observer] in [round] in place of
      its correct vector [v]. *)
   let sent engine adv ~node ~round ~observer v =
@@ -95,6 +100,20 @@ module Make (F : Field_intf.S) = struct
       match W.decode_commands ~k:p.Params.k ~dim s with
       | Some cmds -> Agreed cmds
       | None -> Skipped
+
+  (* Partial synchrony: adversarial delays until GST, Δ after. *)
+  let partial_latency cfg =
+    Net.partial_sync ~gst:cfg.gst ~delta:cfg.delta
+      ~pre:(fun ~src:_ ~dst:_ ~now:_ -> cfg.pre_gst_delay)
+
+  (* The honest nodes' common decision ([decision i]: node i's, [None]
+     if it decided nothing), handed to [on_agreed]. *)
+  let honest_outcome adv ~n ~equal decision on_agreed =
+    let honest i = if byzantine adv i then None else decision i in
+    match List.filter_map honest (List.init n Fun.id) with
+    | [] -> Skipped
+    | first :: rest ->
+      if List.for_all (equal first) rest then on_agreed first else Disagreement
 
   let consensus_sync ?(validate = fun _ -> true) cfg ~round ~leader ~commands
       adv =
@@ -126,20 +145,9 @@ module Make (F : Field_intf.S) = struct
         | Some _ -> Some Net.silent
     in
     let { DS.decisions; _ } = DS.run ds_cfg ~proposal ~byzantine:byz () in
-    let honest =
-      List.filter_map
-        (fun i -> if byzantine adv i then None else Some decisions.(i))
-        (List.init p.Params.n (fun i -> i))
-    in
-    match honest with
-    | [] -> Skipped
-    | first :: rest ->
-      if not (List.for_all (DS.decision_eq first) rest) then Disagreement
-      else begin
-        match first with
-        | DS.Bot -> Skipped
-        | DS.Decided s -> agreed ~validate p ~commands s
-      end
+    honest_outcome adv ~n:p.Params.n ~equal:DS.decision_eq
+      (fun i -> Some decisions.(i))
+      (function DS.Bot -> Skipped | DS.Decided s -> agreed ~validate p ~commands s)
 
   let consensus_partial_sync ?(validate = fun _ -> true) cfg ~round ~commands
       adv =
@@ -154,37 +162,69 @@ module Make (F : Field_intf.S) = struct
       }
     in
     let proposal = W.encode_commands commands in
-    let latency =
-      Net.partial_sync ~gst:cfg.gst ~delta:cfg.delta
-        ~pre:(fun ~src:_ ~dst:_ ~now:_ -> cfg.pre_gst_delay)
-    in
     let { Pbft.decisions; _ } =
       Pbft.run pbft_cfg
         ~proposals:(fun _ -> Some proposal)
         ~byzantine:(fun i ->
           if byzantine adv i then Some Net.silent else None)
-        ~latency ~max_time:5_000_000 ()
+        ~latency:(partial_latency cfg) ~max_time:5_000_000 ()
     in
-    let honest =
-      List.filter_map
-        (fun i -> if byzantine adv i then None else decisions.(i))
-        (List.init p.Params.n (fun i -> i))
-    in
-    match honest with
-    | [] -> Skipped
-    | first :: rest ->
-      if not (List.for_all (fun d -> String.equal d first) rest) then
-        Disagreement
-      else agreed ~validate p ~commands first
+    honest_outcome adv ~n:p.Params.n ~equal:String.equal
+      (fun i -> decisions.(i))
+      (agreed ~validate p ~commands)
 
   (* ----- Execution phase ----- *)
 
-  type exec_msg = Result of F.t array
+  type sim_msg = int * F.t Replica.msg
 
-  (* Run the execution phase on the simulator.  Returns per-honest-node
-     decoded results (which must agree) and the raw per-node messages the
-     clients would receive.  Optionally records each honest node's decode
-     completion time into [decode_times]. *)
+  (* Real wire bytes: the frame a node sends for the message — the
+     socket transport sends exactly this many bytes. *)
+  let size m =
+    Csm_wire.Frame.encoded_size ~payload_bytes:(String.length (R.payload m))
+
+  (* Node [node] as a Net behaviour around its replica core: every
+     delivered message and every timer for the current round is a core
+     input; each [Send] goes to every peer; a round's end hands its
+     decode to [finish], then the core moves on. *)
+  let replica ?scope ?agreed ?timer (engine : E.t) ~node ~quorum ~round
+      ~finish : sim_msg Net.behavior =
+    let n = engine.E.params.Params.n in
+    let core = R.create ?scope engine ~node ~quorum ~round in
+    let rec handle api outs =
+      let round = R.round core in
+      let over d =
+        finish api ~round d;
+        handle api (R.advance core)
+      in
+      List.iter
+        (function
+          | R.Send m ->
+            for dst = 0 to n - 1 do
+              if dst <> node then api.Net.send dst (round, m)
+            done
+          | R.Decoded d -> over (Some d)
+          | R.Failed -> over None
+          | R.Phase _ | R.Bad_round -> ())
+        outs
+    in
+    {
+      Net.init =
+        (fun api ->
+          Option.iter (fun g -> handle api (R.agreed core ~round g)) agreed;
+          Option.iter (fun delay -> api.Net.set_timer ~delay ~tag:round) timer);
+      on_message =
+        (fun api ~sender (round, msg) ->
+          handle api (R.receive core ~round ~sender msg));
+      on_timer =
+        (fun api tag ->
+          if tag = R.round core then handle api (R.timeout core));
+    }
+
+  (* Run the execution phase on the simulator: honest nodes run the
+     replica core from the agreed commands, Byzantine ones send
+     {!E.corrupt_result}'s vector to each destination.  Returns the
+     per-node decodes (Byzantine slots [None]) and optionally records
+     each honest node's decode time into [decode_times]. *)
   let execution_phase ?(scope = Scope.null)
       ?(latency_override : Net.latency option)
       ?(decode_times : int array option) cfg (engine : E.t) ~round ~commands
@@ -193,18 +233,19 @@ module Make (F : Field_intf.S) = struct
     let p = cfg.params in
     let n = p.Params.n and b = p.Params.b in
     let decoded : E.decoded option array = Array.make n None in
-    let decode_attempted = Array.make n false in
     let sync = p.Params.network = Params.Sync in
-    let threshold =
-      if not sync then n - b
-      else if cfg.early_decode then E.min_results engine
-      else n
+    (* partial sync decodes at n − b results (a withholder looks like a
+       slow link); sync waits for the Δ+1 timer unless decoding early *)
+    let quorum =
+      if not sync then Some (n - b)
+      else if cfg.early_decode then Some (E.min_results engine)
+      else None
     in
     (* Steps 1–2 of every node (encode the agreed commands, run the step
        function on the coded state) are independent of the network
        schedule, so compute them up front across the domain pool; the
-       simulated init hooks then just read their slot.  Honest and
-       Byzantine nodes compute the same gᵢ — the adversary corrupts
+       simulated nodes then start from their precomputed gᵢ.  Honest
+       and Byzantine nodes compute the same gᵢ — the adversary corrupts
        per-destination messages, not the computation. *)
     let coded_commands =
       Span.with_ ~ops:scope.Scope.ops ~name:"exec.encode" (fun () ->
@@ -219,103 +260,43 @@ module Make (F : Field_intf.S) = struct
     in
     let behaviors =
       Array.init n (fun i ->
-          let received : (int * F.t array) list ref = ref [] in
-          let my_g = ref [||] in
-          let try_decode now =
-            if not decode_attempted.(i) then begin
-              decode_attempted.(i) <- true;
-              (* the engine's default decoder (optimistic fast path), the
-                 same one the socket runtime's nodes run *)
-              decoded.(i) <- E.decode_results ~scope engine !received;
-              match decode_times with
-              | Some times -> times.(i) <- now
-              | None -> ()
-            end
-          in
           if byzantine adv i then
             {
-              Net.init =
+              Net.silent with
+              init =
                 (fun api ->
-                  let g = computed.(i) in
                   for dst = 0 to n - 1 do
                     if dst <> i then
-                      match sent engine adv ~node:i ~round ~observer:dst g with
-                      | Some g' -> api.Net.send dst (Result g')
+                      match
+                        sent engine adv ~node:i ~round ~observer:dst
+                          computed.(i)
+                      with
+                      | Some g -> api.Net.send dst (round, Replica.Result g)
                       | None -> ()
                   done);
-              on_message = (fun _ ~sender:_ _ -> ());
-              on_timer = (fun _ _ -> ());
             }
           else
-            {
-              Net.init =
-                (fun api ->
-                  let g = computed.(i) in
-                  my_g := g;
-                  received := [ (i, g) ];
-                  api.Net.broadcast (Result g);
-                  if sync then
-                    api.Net.set_timer ~delay:(cfg.delta + 1) ~tag:0);
-              on_message =
-                (fun api ~sender (Result g) ->
-                  if not (List.mem_assoc sender !received) then begin
-                    received := (sender, g) :: !received;
-                    if
-                      ((not sync) || cfg.early_decode)
-                      && List.length !received >= threshold
-                    then try_decode (api.Net.now ())
-                  end);
-              on_timer =
-                (fun api tag -> if tag = 0 then try_decode (api.Net.now ()));
-            })
+            replica ~scope ~agreed:computed.(i)
+              ?timer:(if sync then Some (cfg.delta + 1) else None)
+              engine ~node:i ~quorum ~round
+              ~finish:(fun api ~round:_ d ->
+                decoded.(i) <- d;
+                Option.iter (fun times -> times.(i) <- api.Net.now ())
+                  decode_times))
     in
     let latency =
       match latency_override with
       | Some l -> l
-      | None ->
-        if sync then Net.sync ~delta:cfg.delta
-        else
-          Net.partial_sync ~gst:cfg.gst ~delta:cfg.delta
-            ~pre:(fun ~src:_ ~dst:_ ~now:_ -> cfg.pre_gst_delay)
+      | None -> if sync then Net.sync ~delta:cfg.delta else partial_latency cfg
     in
     let stats =
       Span.with_ ~ops:scope.Scope.ops ~name:"exec.deliver" (fun () ->
-          Net.run ~latency
-            (* real wire bytes: a Result frame carrying the binary
-               vector encoding of gᵢ — the socket transport sends
-               exactly this many bytes *)
-            ~size:(fun (Result g) ->
-              Csm_wire.Frame.encoded_size
-                ~payload_bytes:(W.vector_bytes ~dim:(Array.length g)))
-            behaviors)
+          Net.run ~latency ~size:(fun (_, m) -> size m) behaviors)
     in
     Tel.record_per_node ~layer:"execution" ~sent:stats.Net.sent_by
       ~received:stats.Net.received_by ~bytes_sent:stats.Net.bytes_sent_by
       ~bytes_received:stats.Net.bytes_received_by;
     decoded)
-
-  (* Client vote: first value with ≥ threshold matches. *)
-  let vote ~threshold responses =
-    let eq a b =
-      Array.length a = Array.length b
-      && (let ok = ref true in
-          Array.iteri (fun i x -> if not (F.equal x b.(i)) then ok := false) a;
-          !ok)
-    in
-    let rec go groups = function
-      | [] -> None
-      | r :: rest -> (
-        let groups =
-          match List.find_opt (fun (v, _) -> eq v r) groups with
-          | Some (v, c) ->
-            (v, c + 1) :: List.filter (fun (v', _) -> not (eq v' v)) groups
-          | None -> (r, 1) :: groups
-        in
-        match List.find_opt (fun (_, c) -> c >= threshold) groups with
-        | Some (v, _) -> Some v
-        | None -> go groups rest)
-    in
-    go [] responses
 
   type round_outcome = {
     round : int;
@@ -413,11 +394,8 @@ module Make (F : Field_intf.S) = struct
           (List.init n (fun i -> i))
       in
       let equal_decoded (a : E.decoded) (b : E.decoded) =
-        let veq x y =
-          Array.for_all2 (fun u v -> F.equal u v) x y
-        in
-        Array.for_all2 veq a.E.next_states b.E.next_states
-        && Array.for_all2 veq a.E.outputs b.E.outputs
+        Array.for_all2 vector_equal a.E.next_states b.E.next_states
+        && Array.for_all2 vector_equal a.E.outputs b.E.outputs
       in
       let honest_agree =
         match honest_results with
@@ -453,7 +431,8 @@ module Make (F : Field_intf.S) = struct
                     else Some d.E.outputs.(m))
                   (List.init n (fun i -> i))
               in
-              vote ~threshold:(b + 1) responses)
+              Replica.vote ~equal:vector_equal ~threshold:(b + 1)
+                responses)
       in
       {
         round;

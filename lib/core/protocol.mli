@@ -1,6 +1,8 @@
 (** The full networked CSM protocol: consensus phase (Dolev–Strong or
     PBFT) + coded execution phase over the simulator, with client-side
-    output delivery (Figure 1 / Section 2.1 of the paper).
+    output delivery (Figure 1 / Section 2.1 of the paper).  Execution is
+    the {!Replica} core the socket runtime runs, driven here by
+    [Csm_sim.Net] ({!replica}); delivery is {!Replica.vote}.
 
     The adversary is a {!Strategy.t}.  A node with a plan is Byzantine,
     and its plan's active step in a round acts in every phase: a
@@ -37,6 +39,30 @@ module Make (F : Field_intf.S) : sig
     | Skipped
     | Disagreement
 
+  type sim_msg = int * F.t Replica.msg  (** (round, message) *)
+
+  val size : F.t Replica.msg -> int
+  (** The simulator's sizer: the wire size of the frame a node sends
+      for the message, so simulated byte counts equal socket bytes. *)
+
+  val replica :
+    ?scope:Csm_metrics.Scope.t ->
+    ?agreed:F.t array ->
+    ?timer:int ->
+    E.t ->
+    node:int ->
+    quorum:int option ->
+    round:int ->
+    finish:(sim_msg Csm_sim.Net.api -> round:int -> E.decoded option -> unit) ->
+    sim_msg Csm_sim.Net.behavior
+  (** Node [node] as a [Net] behaviour around its {!Replica} core
+      ([quorum] as in {!Replica.Make.create}).  [agreed] starts [round]
+      from gᵢ computed on agreed commands, else it waits for a
+      [Command]; [timer] arms a Timeout that many ticks after init.
+      Sends go to peers 0..n−1, one [api.send] each.  A round's end
+      hands its decode ([None]: failed) to [finish], then the core
+      moves on. *)
+
   val execution_phase :
     ?scope:Csm_metrics.Scope.t ->
     ?latency_override:Csm_sim.Net.latency ->
@@ -49,12 +75,12 @@ module Make (F : Field_intf.S) : sig
     E.decoded option array
   (** Per-node decode results after the simulated execution phase
       (Byzantine slots are [None]); [round] selects the strategy's
-      active steps.  [decode_times.(i)] receives the
-      simulation time at which honest node [i] decoded.  When tracing is
-      enabled the phase emits "exec.phase" with "exec.encode",
-      "exec.compute" and "exec.deliver" sub-spans. *)
-
-  val vote : threshold:int -> F.t array list -> F.t array option
+      active steps.  Honest nodes run {!replica}, decoding at N − b
+      results (partial sync), at the Δ+1 timer (sync) or at
+      {!E.min_results} ([early_decode]).  [decode_times.(i)] receives
+      the simulation time at which honest node [i] decoded.  When tracing is enabled the phase emits
+      "exec.phase" with "exec.encode", "exec.compute" and
+      "exec.deliver" sub-spans. *)
 
   type round_outcome = {
     round : int;

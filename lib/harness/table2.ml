@@ -106,7 +106,8 @@ let output_delivery ~n =
     List.init n (fun i -> if i < faults then lie else truth)
   in
   let ok faults =
-    match P.vote ~threshold:(faults + 1) (responses faults) with
+    let equal = Array.for_all2 F.equal in
+    match Csm_core.Replica.vote ~equal ~threshold:(faults + 1) (responses faults) with
     | Some v -> F.equal v.(0) truth.(0)
     | None -> false
   in

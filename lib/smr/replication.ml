@@ -28,30 +28,12 @@ module Make (F : Field_intf.S) = struct
   let default_corruption : corruption =
    fun ~node:_ ~machine:_ y -> Array.map (fun v -> F.add v F.one) y
 
-  (* Majority vote over response vectors: returns the first value
-     reaching [threshold] matching votes, if any. *)
+  (* The client vote ({!Csm_core.Replica.vote}) over response vectors. *)
   let vote ~threshold (responses : F.t array list) =
-    let eq a b =
-      Array.length a = Array.length b
-      && (let ok = ref true in
-          Array.iteri (fun i x -> if not (F.equal x b.(i)) then ok := false) a;
-          !ok)
-    in
-    let rec tally groups = function
-      | [] -> groups
-      | r :: rest ->
-        let groups =
-          match List.find_opt (fun (v, _) -> eq v r) groups with
-          | Some (v, c) ->
-            (v, c + 1) :: List.filter (fun (v', _) -> not (eq v' v)) groups
-          | None -> (r, 1) :: groups
-        in
-        tally groups rest
-    in
-    let groups = tally [] responses in
-    match List.find_opt (fun (_, c) -> c >= threshold) groups with
-    | Some (v, _) -> Some v
-    | None -> None
+    Csm_core.Replica.vote
+      ~equal:(fun a b ->
+        Array.length a = Array.length b && Array.for_all2 F.equal a b)
+      ~threshold responses
 
   (* ----- Full replication ----- *)
 

@@ -130,49 +130,16 @@ module Make (F : Field_intf.S) = struct
     let k = cfg.params.Params.k in
     let rng = Csm_rng.create cfg.seed in
     let flight = Flight.create ~node:n () in
-    let expected_outputs =
-      n
-      - List.length
-          (List.filter
-             (fun i -> not (Node.delivers (fault_of cfg i)))
-             (List.init n (fun i -> i)))
-    in
-    (* stamp client control/protocol frames exactly like the nodes do *)
-    let stamp ~trace frame =
-      if not cfg.trace then frame
-      else
-        {
-          frame with
-          Frame.version = Frame.ext_version;
-          ext = Some { Frame.trace_id = trace; hlc = Clock.to_wire (Clock.now ()) };
-        }
-    in
+    let expected_outputs = Node.delivering ~n cfg.faults in
+    (* stamp and record client frames exactly like the nodes do *)
     let send ~trace ~dst frame =
-      let frame = stamp ~trace frame in
-      Flight.record flight ~trace
-        ~attrs:
-          [ ("dst", string_of_int dst); ("frame", Frame.kind_name frame.Frame.kind) ]
-        ~hlc:
-          (match frame.Frame.ext with
-          | Some e -> Clock.of_wire e.Frame.hlc
-          | None -> Clock.now ())
-        ~round:frame.Frame.round "send";
+      let frame = if cfg.trace then Node.stamp ~trace frame else frame in
+      Node.record_send flight ~trace ~dst frame;
       tr.Transport.send ~dst frame
     in
     let record_recv (fr : Frame.t) =
-      let hlc =
-        match fr.Frame.ext with
-        | Some e -> Clock.observe (Clock.of_wire e.Frame.hlc)
-        | None -> Clock.now ()
-      in
-      Flight.record flight
-        ~trace:(match fr.Frame.ext with Some e -> e.Frame.trace_id | None -> 0L)
-        ~attrs:
-          [
-            ("src", string_of_int fr.Frame.sender);
-            ("frame", Frame.kind_name fr.Frame.kind);
-          ]
-        ~hlc ~round:fr.Frame.round "recv"
+      let hlc, trace = Node.observe fr in
+      Node.record_recv flight ~hlc ~trace ~round:fr.Frame.round fr "recv"
     in
     let ledger = Array.make cfg.rounds None in
     let outputs_received = Array.make cfg.rounds 0 in
@@ -223,16 +190,9 @@ module Make (F : Field_intf.S) = struct
           | _ -> Transport.record_error tr);
       outputs_received.(r) <- Hashtbl.length got;
       (* the vote: accept the payload at least b+1 nodes shipped *)
-      let tally : (string, int) Hashtbl.t = Hashtbl.create 4 in
-      Hashtbl.iter
-        (fun _ p ->
-          Hashtbl.replace tally p
-            (1 + Option.value ~default:0 (Hashtbl.find_opt tally p)))
-        got;
-      Hashtbl.iter
-        (fun p c ->
-          if c >= b + 1 && Option.is_none ledger.(r) then ledger.(r) <- Some p)
-        tally;
+      ledger.(r) <-
+        Csm_core.Replica.vote ~equal:String.equal ~threshold:(b + 1)
+          (List.filter_map (Hashtbl.find_opt got) (List.init n Fun.id));
       (* the λ feed: the client, the only endpoint that knows what was
          accepted, ticks the live window k commands per vote — never
          derived from per-node counters, which would overcount ×n *)
@@ -248,14 +208,10 @@ module Make (F : Field_intf.S) = struct
     let stats : Transport.stats option array = Array.make (n + 1) None in
     let bundles : (int, Agg.bundle) Hashtbl.t = Hashtbl.create 8 in
     let have_all () =
-      let c = ref 0 in
-      for i = 0 to n - 1 do
-        if
-          Option.is_some stats.(i)
-          && ((not cfg.telemetry) || Hashtbl.mem bundles i)
-        then incr c
-      done;
-      !c = n
+      List.for_all
+        (fun i ->
+          Option.is_some stats.(i) && ((not cfg.telemetry) || Hashtbl.mem bundles i))
+        (List.init n Fun.id)
     in
     recv_until tr ~limit:(Unix.gettimeofday () +. cfg.deadline) have_all
       (function

@@ -1,30 +1,13 @@
-(* The per-process CSM node runtime: one node of the cluster, holding
-   its own coded state S̃ᵢ inside a local engine instance and speaking
-   the Frame wire protocol over an abstract {!Transport.t}.
-
-   Round structure (client is endpoint [n]):
-
-     Command (client → all)   the round's K command vectors
-     Commit  (node → nodes)   echo of the command payload; a round
-                              proceeds once b+1 endorsements of the
-                              node's own view arrive (self included)
-     compute                  X̃ᵢ = encode(commands), gᵢ = f(S̃ᵢ, X̃ᵢ)
-     Result  (node → nodes)   gᵢ, binary vector payload
-     decode                   Reed–Solomon decode of the collected gⱼ
-     Output  (node → client)  decoded Ŷ rows then next-state Ŝ rows
-     re-encode                S̃ᵢ(t+1) from the decoded next states
-
-   Every inbound payload is validated at intake with the total binary
-   decoders — a truncated or corrupted body counts one transport frame
-   error and is dropped, so a Byzantine peer can lie (the code corrects
-   lies) or babble garbage (dropped and counted) but never crash or
-   wedge the node; every wait blocks in [recv] for at most the
-   [deadline], so silent peers cannot stall a round either.
-
-   Node state is bounded: one slot per live round, deleted when the
-   round ends.  The window rule keeps at most two live: a valid frame
-   for a finished round is dropped, and one more than one round ahead
-   of the node is counted as a [bad-round] frame error.
+(* The per-process CSM node runtime: a transport driver around the
+   {!Csm_core.Replica} core.  It holds the node's coded state S̃ᵢ in a
+   local engine, validates every inbound frame with the total binary
+   decoders (a malformed one counts one frame error and is dropped,
+   never raised), feeds the valid ones to the core, and turns the
+   core's outputs into frames: Commit and Result to the peers, Output
+   (decoded Ŷ then Ŝ) to the client, endpoint [n].  Each stage waits
+   in [recv] for at most the [deadline], then feeds the core a
+   Timeout, so silent peers cannot stall a round; the core's window
+   rule keeps at most two live round slots.
 
    The runtime's own faults ([Drop]/[Delay]/[Corrupt]) apply to the
    frames it *sends* — that is how the cluster driver turns a node
@@ -33,6 +16,7 @@
 module Field_intf = Csm_field.Field_intf
 module Frame = Csm_wire.Frame
 module Params = Csm_core.Params
+module Replica = Csm_core.Replica
 module Clock = Csm_obs.Clock
 module Flight = Csm_obs.Flight
 module Agg = Csm_obs.Agg
@@ -50,13 +34,7 @@ type lie_spec = {
 
 let lie_default = { l_offset = 1; l_coord = None; l_period = 1; l_from = 0 }
 
-let lie_spec_eq a b =
-  a.l_offset = b.l_offset
-  && (match (a.l_coord, b.l_coord) with
-     | None, None -> true
-     | Some x, Some y -> x = y
-     | _ -> false)
-  && a.l_period = b.l_period && a.l_from = b.l_from
+let lie_spec_eq (a : lie_spec) b = a = b
 
 let lie_active l ~round =
   round >= l.l_from && (round - l.l_from) mod max 1 l.l_period = 0
@@ -98,41 +76,72 @@ let delivers = function
   | Honest | Delay _ | Lie _ -> true
   | Drop | Corrupt -> false
 
+let delivering ~n faults =
+  let count = ref 0 in
+  for i = 0 to n - 1 do
+    match List.assoc_opt i faults with
+    | Some f when not (delivers f) -> ()
+    | _ -> incr count
+  done;
+  !count
+
+(* Trace mode: promote an outbound frame to wire v2 carrying [trace]
+   and a fresh HLC send stamp. *)
+let stamp ~trace frame =
+  {
+    frame with
+    Frame.version = Frame.ext_version;
+    ext = Some { Frame.trace_id = trace; hlc = Clock.to_wire (Clock.now ()) };
+  }
+
+let record_send flight ~trace ~dst (frame : Frame.t) =
+  let hlc, trace =
+    match frame.Frame.ext with
+    | Some e -> (Clock.of_wire e.Frame.hlc, e.Frame.trace_id)
+    | None -> (Clock.now (), trace)
+  in
+  Flight.record flight ~trace
+    ~attrs:
+      [ ("dst", string_of_int dst); ("frame", Frame.kind_name frame.Frame.kind) ]
+    ~hlc ~round:frame.Frame.round "send"
+
+(* The HLC receive rule: fold the sender's stamp in before anything
+   else, so the local clock is causally after the send.  Returns the
+   receive stamp and the frame's trace id. *)
+let observe (fr : Frame.t) =
+  match fr.Frame.ext with
+  | Some e -> (Clock.observe (Clock.of_wire e.Frame.hlc), e.Frame.trace_id)
+  | None -> (Clock.now (), 0L)
+
+let record_recv flight ~hlc ~trace ?reason ~round (fr : Frame.t) event =
+  Flight.record flight ~trace
+    ~attrs:
+      (("src", string_of_int fr.Frame.sender)
+      :: ("frame", Frame.kind_name fr.Frame.kind)
+      :: Option.to_list (Option.map (fun r -> ("reason", r)) reason))
+    ~hlc ~round event
+
 module Make (F : Field_intf.S) = struct
   module W = Csm_core.Wire.Make (F)
-  module E = Csm_core.Engine.Make (F)
+  module R = Replica.Make (F)
+  module E = R.E
   module M = E.M
 
+  (* Field meanings: node.mli. *)
   type config = {
     node : int;
     params : Params.t;
     machine : M.t;
-    init : F.t array array;  (* the K initial states, shared by all *)
+    init : F.t array array;
     rounds : int;
     fault : fault;
-    faults : (int * fault) list;  (* the whole cluster's fault map *)
-    deadline : float;  (* per-wait upper bound, seconds *)
-    trace : bool;  (* stamp frame-v2 trace extensions + merge HLC *)
-    telemetry : bool;  (* ship a Telemetry bundle after the Stats reply *)
+    faults : (int * fault) list;
+    deadline : float;
+    trace : bool;
+    telemetry : bool;
     stream : float option;
-        (* emit a csm-node-telemetry/2 delta frame to the client at
-           most this often (seconds) while running; None = end-of-run
-           telemetry only *)
     scope : Agg.scope;
-        (* what this runtime's registry snapshots describe: [Process]
-           when node threads share the process registry (loopback),
-           [Node] when this process owns it (forked modes) *)
   }
-
-  (* Peers whose protocol frames will actually arrive (and validate). *)
-  let expected_peers cfg =
-    let n = cfg.params.Params.n in
-    let dead i =
-      match List.assoc_opt i cfg.faults with
-      | Some f -> not (delivers f)
-      | None -> false
-    in
-    n - List.length (List.filter dead (List.init n (fun i -> i)))
 
   (* Mangle a payload so every total decoder rejects it: flip a byte and
      drop the last one — the fixed-width decoders check exact length,
@@ -146,27 +155,24 @@ module Make (F : Field_intf.S) = struct
       Bytes.to_string b
     end
 
-  (* ---- per-round slots: validated protocol state, filled by [dispatch] ---- *)
-
-  (* Everything the node knows about one live round.  The arrays are
-     indexed by sender; the counters are what the round's waits read. *)
-  type slot = {
-    mutable command : (string * F.t array array) option;
-        (* the client's payload and its decoded commands *)
-    commits : string option array;  (* peer → echoed command payload *)
-    mutable n_commits : int;
-    results : F.t array option array;  (* peer → gⱼ (own entry included) *)
-    mutable n_results : int;
-    mutable trace_id : int64;
-        (* causal trace id, adopted from the first valid extended frame
-           of the round (the client's Command); 0L until then *)
-  }
+  (* The frame carrying a core message. *)
+  let frame ~sender ~round m =
+    let kind =
+      match m with
+      | Replica.Command _ -> Frame.Command
+      | Replica.Commit _ -> Frame.Commit
+      | Replica.Result _ -> Frame.Result
+      | Replica.Output _ -> Frame.Output
+    in
+    Frame.make ~kind ~sender ~round (R.payload m)
 
   type inbox = {
-    slots : (int, slot) Hashtbl.t;
-        (* live rounds only: the running one and the next (window rule
-           in [dispatch]); a round's slot goes when [run_round] returns *)
-    mutable round : int;  (* the round being run; [rounds] once done *)
+    engine : E.t;  (* the node's coded state S̃ᵢ *)
+    core : R.t;  (* the round's protocol state *)
+    traces : (int, int64) Hashtbl.t;
+        (* live round → causal trace id, adopted from the round's first
+           valid extended frame (the client's Command); a round's entry
+           goes when the round ends *)
     flight : Flight.t;  (* this node's always-on black box *)
     mutable shutdown : bool;
     (* streaming-delta emitter state (config.stream = Some _) *)
@@ -179,11 +185,18 @@ module Make (F : Field_intf.S) = struct
            equality is exact) *)
   }
 
-  let make_inbox ~node () =
+  let make_inbox cfg =
+    let engine =
+      E.create ~machine:cfg.machine ~params:cfg.params ~init:cfg.init
+    in
+    (* the quorum: nodes whose protocol frames will actually arrive
+       (and validate), this one included *)
+    let quorum = Some (delivering ~n:cfg.params.Params.n cfg.faults) in
     {
-      slots = Hashtbl.create 4;
-      round = 0;
-      flight = Flight.create ~node ();
+      engine;
+      core = R.create engine ~node:cfg.node ~quorum ~round:0;
+      traces = Hashtbl.create 2;
+      flight = Flight.create ~node:cfg.node ();
       shutdown = false;
       st_seq = 0;
       st_next = 0.0;
@@ -191,76 +204,40 @@ module Make (F : Field_intf.S) = struct
       st_sent = Hashtbl.create 32;
     }
 
-  let slot_for cfg inbox round =
-    match Hashtbl.find_opt inbox.slots round with
-    | Some s -> s
-    | None ->
-      let n = cfg.params.Params.n in
-      let s =
-        {
-          command = None;
-          commits = Array.make n None;
-          n_commits = 0;
-          results = Array.make n None;
-          n_results = 0;
-          trace_id = 0L;
-        }
-      in
-      Hashtbl.replace inbox.slots round s;
-      s
-
   let trace_of inbox round =
-    match Hashtbl.find_opt inbox.slots round with
-    | Some s -> s.trace_id
-    | None -> 0L
+    Option.value ~default:0L (Hashtbl.find_opt inbox.traces round)
 
-  (* Stamp an outbound protocol frame (trace mode): promote it to
-     wire v2 carrying the round's trace id and a fresh HLC send stamp. *)
   let stamp cfg inbox frame =
-    if not cfg.trace then frame
-    else
-      {
-        frame with
-        Frame.version = Frame.ext_version;
-        ext =
-          Some
-            {
-              Frame.trace_id = trace_of inbox frame.Frame.round;
-              hlc = Clock.to_wire (Clock.now ());
-            };
-      }
+    if cfg.trace then stamp ~trace:(trace_of inbox frame.Frame.round) frame
+    else frame
 
-  let record_send inbox ~dst (frame : Frame.t) =
-    let hlc, trace =
-      match frame.Frame.ext with
-      | Some e -> (Clock.of_wire e.Frame.hlc, e.Frame.trace_id)
-      | None -> (Clock.now (), trace_of inbox frame.Frame.round)
-    in
-    Flight.record inbox.flight ~trace
-      ~attrs:
-        [
-          ("dst", string_of_int dst);
-          ("frame", Frame.kind_name frame.Frame.kind);
-        ]
-      ~hlc ~round:frame.Frame.round "send"
-
+  (* Send one protocol frame to every peer or to the client under the
+     node's own fault: a [Drop] node withholds, a [Corrupt] one mangles
+     the payload, a [Delay] one sleeps once per broadcast, so every
+     frame leaves the delay late.  A [Lie] node's machinery is honest —
+     its lie is in the Result payload itself ([act]). *)
   let send_protocol cfg inbox (tr : Transport.t) ~dst frame =
-    let frame = stamp cfg inbox frame in
-    match cfg.fault with
-    | Honest | Lie _ ->
-      (* a Lie node's *protocol machinery* is honest — the lie is
-         injected into the Result payload itself, in run_round *)
-      record_send inbox ~dst frame;
-      tr.Transport.send ~dst frame
-    | Drop -> ()
-    | Delay t ->
-      Thread.delay t;
-      record_send inbox ~dst frame;
-      tr.Transport.send ~dst frame
-    | Corrupt ->
-      record_send inbox ~dst frame;
-      tr.Transport.send ~dst
+    let frame =
+      match cfg.fault with
+      | Corrupt ->
         { frame with Frame.payload = corrupt_payload frame.Frame.payload }
+      | _ -> frame
+    in
+    let send dst =
+      let frame = stamp cfg inbox frame in
+      record_send inbox.flight ~trace:(trace_of inbox frame.Frame.round) ~dst
+        frame;
+      tr.Transport.send ~dst frame
+    in
+    let n = cfg.params.Params.n in
+    (match cfg.fault with Delay t -> Thread.delay t | _ -> ());
+    match (cfg.fault, dst) with
+    | Drop, _ -> ()
+    | _, `Client -> send n
+    | _, `Peers ->
+      for j = 0 to n - 1 do
+        if j <> cfg.node then send j
+      done
 
   (* In-flight telemetry: at most every [interval] seconds, ship a
      csm-node-telemetry/2 delta straight to the client.  Values are
@@ -317,244 +294,154 @@ module Make (F : Field_intf.S) = struct
                    ~views ~events ())))
       end
 
-  (* An adversary-chosen round number keys the slot table: left
+  (* An adversary-chosen round number keys the core's slots: left
      unvalidated, a forged stream of distinct rounds grows protocol
      state without bound.  Rounds are dense — 0..rounds-1 for protocol
      frames, with [rounds] itself serving as the shutdown/stats epoch —
      so a total decoder bounds the key space to rounds+1 values, and
-     the window rule in [dispatch] bounds the live slots to two. *)
+     the core's window rule bounds the live slots to two. *)
   let decode_round ~rounds r = if r >= 0 && r <= rounds then Some r else None
 
   (* A wire sender index that names a protocol peer of this node. *)
   let decode_peer cfg s =
     if s >= 0 && s < cfg.params.Params.n && s <> cfg.node then Some s else None
 
+  (* Act on the core's outputs for its current round. *)
+  let act cfg (tr : Transport.t) inbox outs =
+    let me = cfg.node in
+    let r = R.round inbox.core in
+    List.iter
+      (function
+        | R.Phase name ->
+          if Metric.enabled () then Metric.inc (Tel.node_phases ~phase:name);
+          Flight.record inbox.flight ~trace:(trace_of inbox r)
+            ~attrs:[ ("phase", name) ]
+            ~hlc:(Clock.now ()) ~round:r "phase"
+        | R.Send m ->
+          (* a [Lie] node ships a well-formed but wrong gᵢ while the core
+             keeps the honest one: only the peers' decode catches it *)
+          let m =
+            match (m, cfg.fault) with
+            | Replica.Result g, Lie l when lie_active l ~round:r ->
+              Replica.Result
+                (Option.value ~default:g
+                   (E.corrupt_result inbox.engine (lie_action l) ~node:me
+                      ~round:r ~observer:me g))
+            | _ -> m
+          in
+          send_protocol cfg inbox tr ~dst:`Peers (frame ~sender:me ~round:r m)
+        | R.Decoded d ->
+          (* attribute corrected error locations: the suspicion gauge
+             is the decoder's erasure hint and the live alert signal *)
+          if Metric.enabled () then begin
+            List.iter
+              (fun j ->
+                Metric.inc (Tel.decode_errors ~node:j);
+                Metric.add (Tel.node_suspicion ~node:j) 1.0)
+              d.E.error_nodes;
+            Metric.inc ~by:cfg.params.Params.k
+              (Tel.commands_committed ~node:me)
+          end;
+          (* ship the decoded outputs + next states to the client, then
+             advance our own coded state *)
+          send_protocol cfg inbox tr ~dst:`Client
+            (frame ~sender:me ~round:r
+               (Replica.Output (Array.append d.E.outputs d.E.next_states)));
+          E.node_update_state inbox.engine ~node:me ~next_states:d.E.next_states
+        | R.Failed | R.Bad_round -> ())
+      outs
+
   (* Intake-time validation: bound the round and decode the payload
      with the total decoders the moment the frame arrives, so a
      malformed frame is counted and dropped exactly once no matter when
-     it arrives.  A valid frame then meets the window rule: one for a
-     finished round is dropped silently; one more than a round ahead of
-     the node is a [bad-round] error — no honest peer gets there, since
-     the client keeps one round outstanding and waits for every
-     delivering node's Output. *)
+     it arrives.  A valid frame goes to the core, whose window rule
+     drops one for a finished round and answers [Bad_round] for one
+     more than a round ahead — no honest peer gets there, since the
+     client keeps one round outstanding and waits for every delivering
+     node's Output. *)
   let dispatch cfg (tr : Transport.t) inbox (fr : Frame.t) =
     let n = cfg.params.Params.n in
     let k = cfg.params.Params.k in
     let sender = fr.Frame.sender in
-    (* HLC receive rule: fold the sender's stamp in before anything
-       else, so the local clock (and the flight entry below) is already
-       causally after the send *)
-    let rx_hlc, rx_trace =
-      match fr.Frame.ext with
-      | Some e -> (Clock.observe (Clock.of_wire e.Frame.hlc), e.Frame.trace_id)
-      | None -> (Clock.now (), 0L)
-    in
-    let record_recv ~round () =
-      Flight.record inbox.flight ~trace:rx_trace
-        ~attrs:
-          [
-            ("src", string_of_int sender);
-            ("frame", Frame.kind_name fr.Frame.kind);
-          ]
-        ~hlc:rx_hlc ~round "recv"
+    let hlc, trace = observe fr in
+    let record ?reason ~round event =
+      record_recv inbox.flight ~hlc ~trace ?reason ~round fr event
     in
     let record_bad ~round reason =
       Transport.record_error tr;
-      Flight.record inbox.flight ~trace:rx_trace
-        ~attrs:
-          [
-            ("src", string_of_int sender);
-            ("frame", Frame.kind_name fr.Frame.kind);
-            ("reason", reason);
-          ]
-        ~hlc:rx_hlc ~round "error"
+      record ~reason ~round "error"
     in
-    (* a valid protocol frame: keep it in its round's slot if live *)
-    let accept ~round store =
-      if round > inbox.round + 1 then record_bad ~round "bad-round"
-      else begin
-        record_recv ~round ();
-        if round >= inbox.round then begin
-          let s = slot_for cfg inbox round in
-          if rx_trace <> 0L && s.trace_id = 0L then s.trace_id <- rx_trace;
-          store s
-        end
-      end
+    (* a valid protocol message: the core's input *)
+    let feed ~round msg =
+      let live = round >= R.round inbox.core in
+      match R.receive inbox.core ~round ~sender msg with
+      | [ R.Bad_round ] -> record_bad ~round "bad-round"
+      | outs ->
+        record ~round "recv";
+        if live && trace <> 0L && not (Hashtbl.mem inbox.traces round) then
+          Hashtbl.replace inbox.traces round trace;
+        if outs <> [] then act cfg tr inbox outs
     in
     match decode_round ~rounds:cfg.rounds fr.Frame.round with
     | None ->
       (* the flight entry logs the forged value, but nothing keys on it *)
       record_bad ~round:fr.Frame.round "bad-round"
     | Some round -> (
-      let decode_commands = W.decode_commands_bin ~k ~dim:cfg.machine.M.input_dim in
+      let p = fr.Frame.payload in
+      let valid decoded msg =
+        match decoded with
+        | Some v -> feed ~round (msg v)
+        | None -> record_bad ~round "bad-payload"
+      in
+      let commands () = W.decode_commands_bin ~k ~dim:cfg.machine.M.input_dim p in
+      let dim = cfg.machine.M.state_dim + cfg.machine.M.output_dim in
       match (fr.Frame.kind, decode_peer cfg sender) with
-      | Frame.Command, _ when sender = n -> (
-        match decode_commands fr.Frame.payload with
-        | Some cs ->
-          accept ~round (fun s ->
-              if Option.is_none s.command then
-                s.command <- Some (fr.Frame.payload, cs))
-        | None -> record_bad ~round "bad-payload")
-      | Frame.Commit, Some j -> (
-        match decode_commands fr.Frame.payload with
-        | Some _ ->
-          accept ~round (fun s ->
-              if Option.is_none s.commits.(j) then begin
-                s.commits.(j) <- Some fr.Frame.payload;
-                s.n_commits <- s.n_commits + 1
-              end)
-        | None -> record_bad ~round "bad-payload")
-      | Frame.Result, Some j -> (
-        let dim = cfg.machine.M.state_dim + cfg.machine.M.output_dim in
-        match W.decode_vector_bin ~dim fr.Frame.payload with
-        | Some g ->
-          accept ~round (fun s ->
-              if Option.is_none s.results.(j) then begin
-                s.results.(j) <- Some g;
-                s.n_results <- s.n_results + 1
-              end)
-        | None -> record_bad ~round "bad-payload")
+      | Frame.Command, _ when sender = n ->
+        valid (commands ()) (fun cs -> Replica.Command (p, cs))
+      | Frame.Commit, Some _ -> valid (commands ()) (fun _ -> Replica.Commit p)
+      | Frame.Result, Some _ ->
+        valid (W.decode_vector_bin ~dim p) (fun g -> Replica.Result g)
       | Frame.Shutdown, _ when sender = n ->
-        record_recv ~round ();
+        record ~round "recv";
         inbox.shutdown <- true
       | _ ->
         (* unexpected kind/sender combination: malformed at the
            protocol level, counted like any other bad frame *)
         record_bad ~round "unexpected-kind")
 
-  (* Dispatch arriving frames until [cond] holds, the node shuts down
-     or [cfg.deadline] passes.  Each [recv] blocks for the time left,
-     or only until the streaming emitter's next delta is due — waits
-     are where a node spends its wall time, so this is what keeps
-     deltas flowing even while a round stalls on a straggler. *)
-  let wait_until cfg (tr : Transport.t) inbox cond =
-    let limit = Unix.gettimeofday () +. cfg.deadline in
-    let rec loop () =
-      maybe_stream cfg tr inbox;
-      if cond () then true
-      else begin
-        let now = Unix.gettimeofday () in
-        if inbox.shutdown || now >= limit then false
-        else begin
-          let until =
-            match cfg.stream with
-            | Some _ -> Float.min limit inbox.st_next
-            | None -> limit
-          in
-          Option.iter (dispatch cfg tr inbox)
-            (tr.Transport.recv ~timeout:(until -. now));
-          loop ()
-        end
-      end
+  (* One blocking [recv] for the time left to [limit], or only until
+     the streaming emitter's next delta is due — waits are where a node
+     spends its wall time, so this is what keeps deltas flowing even
+     while a round stalls on a straggler. *)
+  let recv_until cfg (tr : Transport.t) inbox ~limit ~now =
+    let until =
+      match cfg.stream with
+      | Some _ -> Float.min limit inbox.st_next
+      | None -> limit
     in
-    loop ()
+    Option.iter (dispatch cfg tr inbox) (tr.Transport.recv ~timeout:(until -. now))
 
-  (* ---- one protocol round ---- *)
-
-  let phase inbox ~round name =
-    if Metric.enabled () then Metric.inc (Tel.node_phases ~phase:name);
-    Flight.record inbox.flight ~trace:(trace_of inbox round)
-      ~attrs:[ ("phase", name) ]
-      ~hlc:(Clock.now ()) ~round "phase"
-
-  let run_round cfg (tr : Transport.t) engine inbox r =
-    let n = cfg.params.Params.n in
-    let b = cfg.params.Params.b in
-    let me = cfg.node in
-    let slot = slot_for cfg inbox r in
-    (* 1. the round's commands, from the client *)
-    ignore (wait_until cfg tr inbox (fun () -> Option.is_some slot.command));
-    match slot.command with
-    | None -> false
-    | Some (cmd_payload, commands) ->
-      phase inbox ~round:r "commands";
-      (* 2. commit: echo the command payload to every peer, then wait
-         for the peers expected to deliver; proceed on b+1 matching
-         endorsements (self included) *)
-      let commit = Frame.make ~kind:Frame.Commit ~sender:me ~round:r cmd_payload in
-      for j = 0 to n - 1 do
-        if j <> me then send_protocol cfg inbox tr ~dst:j commit
-      done;
-      let expected_commits = expected_peers cfg - 1 (* peers, sans self *) in
-      ignore
-        (wait_until cfg tr inbox (fun () -> slot.n_commits >= expected_commits));
-      let matching =
-        Array.fold_left
-          (fun acc p ->
-            match p with
-            | Some p when String.equal p cmd_payload -> acc + 1
-            | _ -> acc)
-          1 slot.commits
-      in
-      if matching < b + 1 then false
-      else begin
-      phase inbox ~round:r "committed";
-      (* 3. compute gᵢ over the committed commands *)
-      let coded_command = E.node_encode_command engine ~node:me ~commands in
-      let g = E.node_compute engine ~node:me ~coded_command in
-      phase inbox ~round:r "computed";
-      (* 4. broadcast the result, keep our own.  A [Lie] node ships a
-         well-formed but wrong vector (the engine's adversary
-         interpreter applies its lie, on the spec's round schedule)
-         while keeping the honest gᵢ locally — intake validation passes
-         everywhere and only the peers' Reed–Solomon decode catches and
-         attributes the lie *)
-      let broadcast_g =
-        match cfg.fault with
-        | Lie l when lie_active l ~round:r ->
-          Option.value ~default:g
-            (E.corrupt_result engine (lie_action l) ~node:me ~round:r
-               ~observer:me g)
-        | _ -> g
-      in
-      let result =
-        Frame.make ~kind:Frame.Result ~sender:me ~round:r
-          (W.encode_vector_bin broadcast_g)
-      in
-      for j = 0 to n - 1 do
-        if j <> me then send_protocol cfg inbox tr ~dst:j result
-      done;
-      slot.results.(me) <- Some g;
-      slot.n_results <- slot.n_results + 1;
-      (* 5. collect and decode *)
-      let expected_results = expected_peers cfg in
-      ignore
-        (wait_until cfg tr inbox (fun () -> slot.n_results >= expected_results));
-      let received =
-        List.filter_map
-          (fun j -> Option.map (fun g -> (j, g)) slot.results.(j))
-          (List.init n Fun.id)
-      in
-      (* the engine's default decoder: optimistic verify-first fast
-         path, with Gao + suspicion-guided erasures as fallback *)
-      match E.decode_results engine received with
-      | None ->
-        phase inbox ~round:r "decode-failed";
-        false
-      | Some d ->
-        phase inbox ~round:r "decoded";
-        (* attribute decoder-corrected error locations, like the
-           simulator protocol does: the suspicion gauge is both the
-           erasure hint for later decodes and the live alert signal *)
-        if Metric.enabled () then begin
-          List.iter
-            (fun j ->
-              Metric.inc (Tel.decode_errors ~node:j);
-              Metric.add (Tel.node_suspicion ~node:j) 1.0)
-            d.E.error_nodes;
-          Metric.inc ~by:cfg.params.Params.k
-            (Tel.commands_committed ~node:me)
-        end;
-        (* 6. ship the decoded outputs + next states to the client *)
-        let payload =
-          W.encode_matrix_bin (Array.append d.E.outputs d.E.next_states)
-        in
-        send_protocol cfg inbox tr ~dst:n
-          (Frame.make ~kind:Frame.Output ~sender:me ~round:r payload);
-        (* 7. advance our own coded state *)
-        E.node_update_state engine ~node:me ~next_states:d.E.next_states;
-        true
-      end
+  (* Drive the core's current round to its end.  Each stage waits at
+     most [cfg.deadline]; when that passes, or the client has shut the
+     node down, the core gets a Timeout, so silent peers cannot stall a
+     round. *)
+  let run_round cfg (tr : Transport.t) inbox =
+    let core = inbox.core in
+    let rec loop stage limit =
+      maybe_stream cfg tr inbox;
+      match R.stage core with
+      | Replica.Done -> ()
+      | _ ->
+        let now = Unix.gettimeofday () in
+        if inbox.shutdown || now >= limit then
+          act cfg tr inbox (R.timeout core)
+        else recv_until cfg tr inbox ~limit ~now;
+        let stage' = R.stage core in
+        loop stage'
+          (if stage' = stage then limit
+           else Unix.gettimeofday () +. cfg.deadline)
+    in
+    loop (R.stage core) (Unix.gettimeofday () +. cfg.deadline)
 
   (* Binary stats payload: five big-endian u64 counters. *)
   let stats_payload (s : Transport.stats) =
@@ -594,30 +481,26 @@ module Make (F : Field_intf.S) = struct
 
   let run cfg (tr : Transport.t) =
     if cfg.trace then Span.enable ();
-    let engine =
-      E.create ~machine:cfg.machine ~params:cfg.params ~init:cfg.init
-    in
-    let inbox = make_inbox ~node:cfg.node () in
+    let inbox = make_inbox cfg in
     let n = cfg.params.Params.n in
     let node_attr = [ ("node", string_of_int cfg.node) ] in
     for r = 0 to cfg.rounds - 1 do
       if not inbox.shutdown then begin
-        inbox.round <- r;
         let t0 = Unix.gettimeofday () in
-        ignore
-          (Span.with_ ~name:"node.round"
-             ~attrs:(("round", string_of_int r) :: node_attr)
-             (fun () -> run_round cfg tr engine inbox r));
+        Span.with_ ~name:"node.round"
+          ~attrs:(("round", string_of_int r) :: node_attr)
+          (fun () ->
+            if r > 0 then act cfg tr inbox (R.advance inbox.core);
+            run_round cfg tr inbox);
         if Metric.enabled () then begin
           Metric.observe Tel.round_latency (Unix.gettimeofday () -. t0);
           Metric.set
             (Tel.node_retained_rounds ~node:cfg.node)
-            (float_of_int (Hashtbl.length inbox.slots))
+            (float_of_int (R.live_rounds inbox.core))
         end;
-        Hashtbl.remove inbox.slots r
+        Hashtbl.remove inbox.traces r
       end
     done;
-    inbox.round <- cfg.rounds;
     (* flush the emitter so the final cumulative values are on the wire
        before the shutdown handshake *)
     if cfg.stream <> None then begin
@@ -626,7 +509,16 @@ module Make (F : Field_intf.S) = struct
     end;
     (* wait for the client's shutdown, reply with our counters (control
        frames are exempt from the node's fault: the driver needs them) *)
-    ignore (wait_until cfg tr inbox (fun () -> inbox.shutdown));
+    let limit = Unix.gettimeofday () +. cfg.deadline in
+    let rec await () =
+      maybe_stream cfg tr inbox;
+      let now = Unix.gettimeofday () in
+      if (not inbox.shutdown) && now < limit then begin
+        recv_until cfg tr inbox ~limit ~now;
+        await ()
+      end
+    in
+    await ();
     let snap = Transport.snapshot tr in
     tr.Transport.send ~dst:n
       (Frame.make ~kind:Frame.Stats ~sender:cfg.node ~round:cfg.rounds

@@ -1,12 +1,9 @@
-(** One CSM node runtime over an abstract {!Transport.t}: owns its coded
-    state S̃ᵢ (in a local engine instance) and speaks the Frame protocol
-    for the commit → compute → decode round structure.  Inbound payloads
-    are validated at intake with the total binary decoders: malformed
-    bodies count one transport frame error and are dropped, never
-    raised; collect loops are deadline-bounded so silent peers cannot
-    stall a round.  State is bounded: at most two live round slots, as
-    a frame more than one round ahead of the node is a [bad-round]
-    frame error. *)
+(** One CSM node runtime over an abstract {!Transport.t}: a transport
+    driver around the {!Csm_core.Replica} core, owning the node's coded
+    state S̃ᵢ.  Inbound frames are validated at intake with the total
+    binary decoders (a malformed one counts one frame error and is
+    dropped, never raised); each stage waits at most the deadline, so
+    silent peers cannot stall a round. *)
 
 module Field_intf = Csm_field.Field_intf
 module Frame = Csm_wire.Frame
@@ -47,6 +44,21 @@ val delivers : fault -> bool
     ([Honest]/[Delay]/[Lie] do; [Drop] withholds, [Corrupt] frames are
     rejected at intake). *)
 
+val delivering : n:int -> (int * fault) list -> int
+(** How many of the [n] nodes deliver under the fault map. *)
+
+(** Shared with the cluster client: [stamp] promotes a frame to wire v2
+    with [trace] and a fresh HLC stamp; [observe] applies the HLC receive
+    rule, returning the receive stamp and the frame's trace id. *)
+
+val stamp : trace:int64 -> Frame.t -> Frame.t
+val record_send : Csm_obs.Flight.t -> trace:int64 -> dst:int -> Frame.t -> unit
+val observe : Frame.t -> Csm_obs.Clock.stamp * int64
+
+val record_recv :
+  Csm_obs.Flight.t -> hlc:Csm_obs.Clock.stamp -> trace:int64 ->
+  ?reason:string -> round:int -> Frame.t -> string -> unit
+
 module Make (F : Field_intf.S) : sig
   module W : module type of Csm_core.Wire.Make (F)
   module E : module type of Csm_core.Engine.Make (F)
@@ -85,6 +97,10 @@ module Make (F : Field_intf.S) : sig
   val corrupt_payload : string -> string
   (** The [Corrupt] fault's mangling (exposed for tests): flips a byte
       and drops the last, so every total decoder rejects the result. *)
+
+  val frame : sender:int -> round:int -> F.t Csm_core.Replica.msg -> Frame.t
+  (** The protocol frame a node sends for a core message: its kind and
+      binary payload. *)
 
   val stats_payload : Transport.stats -> string
   (** Binary Stats-frame payload: five big-endian u64 counters. *)

@@ -197,68 +197,6 @@ let fuzz_pbft () =
         (List.length honest) (n - f)
   done
 
-(* ----- chained protocol driver: CSM over the pipelined log ----- *)
-
-module F = Csm_field.Fp.Default
-module PC = Csm_core.Protocol_chain.Make (F)
-module E = PC.E
-module M = E.M
-module Params = Csm_core.Params
-
-let chained_csm_end_to_end () =
-  let machine = M.bank () in
-  let k = 2 and b = 1 in
-  let d = M.degree machine in
-  (* needs BOTH 3b+1 <= n (PBFT) and 3b+1 <= n - d(k-1) (decoding) *)
-  let n = Params.composite_degree ~k ~d + (3 * b) + 1 in
-  let n = max n ((3 * b) + 1) in
-  let params = Params.make ~network:Params.Partial_sync ~n ~k ~d ~b in
-  let fi = F.of_int in
-  let init = [| [| fi 10 |]; [| fi 20 |] |] in
-  let engine = E.create ~machine ~params ~init in
-  let keyring = Auth.create_keyring (Csm_rng.create 0xCC) ~n in
-  let rounds = 5 in
-  let workload r = [| [| fi (r + 1) |]; [| fi (10 * (r + 1)) |] |] in
-  let out =
-    PC.run ~keyring ~base_timeout:2000
-      ~byzantine:(fun i -> i = n - 1)
-      engine ~workload ~rounds ()
-  in
-  Alcotest.(check int) "all rounds reported" rounds (List.length out.PC.reports);
-  (* track the reference trajectory *)
-  let states = ref (Array.map Array.copy init) in
-  List.iter
-    (fun (r : PC.round_report) ->
-      match (r.PC.agreed, r.PC.decoded) with
-      | Some commands, Some dec ->
-        let next_ref, _ = M.run_fleet machine ~states:!states ~commands in
-        states := next_ref;
-        for m = 0 to k - 1 do
-          if not (F.equal dec.E.next_states.(m).(0) next_ref.(m).(0)) then
-            Alcotest.fail "chained protocol state mismatch"
-        done
-      | _ -> Alcotest.failf "slot %d did not execute" r.PC.slot)
-    out.PC.reports;
-  Alcotest.(check bool) "coded states track reference" true
-    (E.consistent_with engine ~states:!states)
-
-let chained_requires_partial_sync () =
-  let machine = M.bank () in
-  let params = Params.make ~network:Params.Sync ~n:7 ~k:2 ~d:1 ~b:2 in
-  let engine =
-    E.create ~machine ~params ~init:[| [| F.of_int 1 |]; [| F.of_int 2 |] |]
-  in
-  let keyring = Auth.create_keyring (Csm_rng.create 1) ~n:7 in
-  Alcotest.check_raises "sync rejected"
-    (Invalid_argument "Protocol_chain.run: chained PBFT is the partial-sync path")
-    (fun () ->
-      ignore
-        (PC.run ~keyring ~base_timeout:2000
-           ~byzantine:(fun _ -> false)
-           engine
-           ~workload:(fun _ -> [| [| F.of_int 1 |]; [| F.of_int 2 |] |])
-           ~rounds:1 ()))
-
 let suites =
   [
     ( "consensus:chain",
@@ -270,10 +208,6 @@ let suites =
           slots_independent_under_crashed_leader;
         Alcotest.test_case "chain under partial sync" `Quick
           chain_under_partial_sync;
-        Alcotest.test_case "chained CSM end to end" `Quick
-          chained_csm_end_to_end;
-        Alcotest.test_case "chained driver requires partial sync" `Quick
-          chained_requires_partial_sync;
       ] );
     ( "consensus:fuzz",
       [

@@ -213,6 +213,13 @@ let r6_taint () =
       ( "lib/transport/ta.ml",
         "let f tr arr = Array.get arr (Transport.recv tr mod Array.length arr)"
       );
+    ];
+  (* the replica core holds protocol state: an unvalidated read keying
+     its tables is the adversary writing that state *)
+  wp_fires "R6"
+    [
+      ( "lib/core/replica.ml",
+        "let f tr slots = Hashtbl.replace slots (Transport.recv tr) ()" );
     ]
 
 let r6_interprocedural () =

@@ -16,6 +16,7 @@ let () =
          Test_extensions.suites;
          Test_clients.suites;
          Test_chain.suites;
+         Test_replica.suites;
          Test_circuit.suites;
          Test_metrics.suites;
          Test_field.suites;

@@ -408,24 +408,34 @@ let binary_strictness () =
     ignore (W.decode_matrix_bin s)
   done
 
-(* ----- the sim's sizers equal real wire bytes ----- *)
+(* ----- the sim's sizer equals real wire bytes ----- *)
 
+module P = Csm_core.Protocol.Make (F)
+module Replica = Csm_core.Replica
+
+(* [Protocol.size], the simulator's one sizer, against the encoded
+   frame the node runtime sends for the same message, every kind. *)
 let sim_sizes_equal_wire_bytes () =
   let rng = Csm_rng.create 0x512E in
+  let vec dim = Array.init dim (fun _ -> F.random rng) in
   for _ = 1 to 30 do
     let dim = 1 + Csm_rng.int rng 8 in
-    let g = Array.init dim (fun _ -> F.random rng) in
-    (* the execution-phase sizer in lib/core/protocol.ml computes
-       [Frame.encoded_size ~payload_bytes:(W.vector_bytes ~dim)]; a real
-       Result frame carrying the same vector must measure exactly that *)
-    let sim_size =
-      Frame.encoded_size ~payload_bytes:(W.vector_bytes ~dim:(Array.length g))
-    in
-    let real_frame =
-      Frame.make ~kind:Frame.Result ~sender:0 ~round:0 (W.encode_vector_bin g)
-    in
-    check Alcotest.int "sim size = socket bytes" sim_size
-      (String.length (Frame.encode real_frame))
+    let k = 1 + Csm_rng.int rng 4 in
+    let cs = Array.init k (fun _ -> vec dim) in
+    let payload = W.encode_commands_bin cs in
+    List.iter
+      (fun m ->
+        let fr = N.frame ~sender:(Csm_rng.int rng 16) ~round:(Csm_rng.int rng 99) m in
+        check Alcotest.int
+          (Frame.kind_name fr.Frame.kind ^ ": sim size = socket bytes")
+          (P.size m)
+          (String.length (Frame.encode fr)))
+      [
+        Replica.Command (payload, cs);
+        Replica.Commit payload;
+        Replica.Result (vec dim);
+        Replica.Output (Array.init (2 * k) (fun i -> vec (1 + (i mod dim))));
+      ]
   done
 
 (* ----- loopback transport ----- *)
@@ -534,6 +544,22 @@ let cluster_loopback_delay_fault () =
   let r = C.run (cluster_cfg ~faults:[ (0, Node.Delay 0.01) ] ()) in
   checkb "verified with delaying node" true r.C.ok;
   Array.iter (fun c -> check Alcotest.int "all outputs" 3 c) r.C.outputs_received
+
+(* A Delay node holds each broadcast back once, not once per
+   destination: at N=8 a per-destination sleep alone would take
+   4 rounds × 15 frames × 50 ms = 3 s. *)
+let cluster_loopback_delay_per_broadcast () =
+  let r =
+    C.run
+      {
+        (cluster_cfg ~rounds:4 ~faults:[ (0, Node.Delay 0.05) ] ()) with
+        C.params = Params.make ~network:Params.Sync ~n:8 ~k:2 ~d:1 ~b:1;
+      }
+  in
+  checkb "verified with delaying node" true r.C.ok;
+  checkb
+    (Printf.sprintf "run took %.2f s < 2 s" r.C.run_seconds)
+    true (r.C.run_seconds < 2.0)
 
 (* Determinism: two loopback runs at one seed produce identical ledgers
    and identical per-endpoint counters. *)
@@ -900,6 +926,8 @@ let suites =
           cluster_loopback_corrupt_fault;
         Alcotest.test_case "cluster loopback delay fault" `Quick
           cluster_loopback_delay_fault;
+        Alcotest.test_case "delay fault sleeps once per broadcast" `Quick
+          cluster_loopback_delay_per_broadcast;
         Alcotest.test_case "cluster loopback deterministic" `Quick
           cluster_loopback_deterministic;
         Alcotest.test_case "cluster loopback streaming + alerts" `Quick
