@@ -35,9 +35,13 @@ module Make (F : Field_intf.S) = struct
     mutable coded_states : F.t array array;  (* n × state_dim *)
     mutable round_index : int;
     mutable rs_ctx : (F.t array * RS.fast_ctx) option;
-        (* optimistic-decode precomputation, keyed by the received-point
-           set it was prepared for; reused while the same nodes report
-           (the common case round after round — Remark 4) *)
+        (* optimistic-decode precomputation, keyed by the ordered
+           received-point set it was prepared for; reused while the same
+           nodes report in the same order (the common case round after
+           round — Remark 4) *)
+    mutable suspects : int list;
+        (* nodes the last successful decode attributed errors to; the
+           optimistic decoder orders their results last *)
   }
 
   let result_dim t = t.machine.M.state_dim + t.machine.M.output_dim
@@ -57,6 +61,7 @@ module Make (F : Field_intf.S) = struct
       coded_states = Coding.encode_vectors coding init;
       round_index = 0;
       rs_ctx = None;
+      suspects = [];
     }
 
   let coded_state t ~node = t.coded_states.(node)
@@ -105,15 +110,22 @@ module Make (F : Field_intf.S) = struct
 
      The algorithm defaults to [RS.Optimistic], which shares one
      [RS.fast_ctx] across all coordinates and rounds, cached on the
-     engine and rebuilt only when the set of reporting nodes changes.
+     engine and rebuilt only when the ordered set of reporting nodes
+     changes.  The optimistic decoder corrects errors at fast-path cost
+     when they sit outside the interpolation head, so it decodes over
+     [received] with suspected nodes moved to the end: coordinate 0 with
+     the nodes the previous decode blamed last, and — when coordinate 0
+     corrects errors — the remaining coordinates with its error nodes
+     last.  Gao decodes [received] as given.  The decoded polynomials
+     are unique within the radius, so the order changes only the cost.
 
-     The [dim] coordinates are independent Reed–Solomon instances, so
+     Coordinates 1..dim−1 are independent Reed–Solomon instances, so
      they decode across the domain pool (chunk 1: one decode is the
      grain).  Every coordinate writes disjoint slots of [next_states] /
      [outputs] and its own error list, merged sequentially afterwards —
-     the decoded record is bit-identical for any domain count.  All
-     coordinates are decoded even after one fails, keeping the work (and
-     the operation counts) independent of scheduling. *)
+     the decoded record and the op counts are identical for any domain
+     count.  All coordinates are decoded even after one fails, keeping
+     the work independent of scheduling. *)
   let decode_results ?(scope = Scope.null) ?(role = "decoder")
       ?(algorithm = RS.Optimistic) t (received : (int * F.t array) list) :
       decoded option =
@@ -122,10 +134,7 @@ module Make (F : Field_intf.S) = struct
         let dim = result_dim t in
         let kdim = Params.code_dimension ~k:t.params.Params.k ~d:t.params.Params.d in
         let sd = t.machine.M.state_dim in
-        let recv = Array.of_list received in
-        let xs =
-          Array.map (fun (node, _) -> t.coding.Coding.alphas.(node)) recv
-        in
+        let received = Array.of_list received in
         let xs_equal a b =
           Array.length a = Array.length b
           && (let ok = ref true in
@@ -134,18 +143,35 @@ module Make (F : Field_intf.S) = struct
                 a;
               !ok)
         in
-        let ctx =
-          match algorithm with
-          | RS.Optimistic when Array.length xs >= kdim -> (
-            match t.rs_ctx with
-            | Some (pxs, c) when xs_equal pxs xs -> Some c
-            | _ ->
-              let c = RS.prepare_fast ~k:kdim xs in
-              t.rs_ctx <- Some (xs, c);
-              Some c)
-          | _ -> None
+        (* [received] with the [last] nodes moved to the end (stable),
+           its points, and the fast-path context for that order *)
+        let arrange last =
+          let recv =
+            match (algorithm, last) with
+            | RS.Optimistic, _ :: _ ->
+              let blamed (node, _) = List.exists (Int.equal node) last in
+              let late, early =
+                List.partition blamed (Array.to_list received)
+              in
+              Array.of_list (early @ late)
+            | _ -> received
+          in
+          let xs =
+            Array.map (fun (node, _) -> t.coding.Coding.alphas.(node)) recv
+          in
+          let ctx =
+            match algorithm with
+            | RS.Optimistic when Array.length xs >= kdim -> (
+              match t.rs_ctx with
+              | Some (pxs, c) when xs_equal pxs xs -> Some c
+              | _ ->
+                let c = RS.prepare_fast ~k:kdim xs in
+                t.rs_ctx <- Some (xs, c);
+                Some c)
+            | _ -> None
+          in
+          (recv, xs, ctx, suspect_positions recv)
         in
-        let suspects = suspect_positions recv in
         let next_states =
           Array.init t.params.Params.k (fun _ -> Array.make sd F.zero)
         in
@@ -155,34 +181,43 @@ module Make (F : Field_intf.S) = struct
         in
         let coord_ok = Array.make dim true in
         let coord_errors = Array.make dim [] in
-        Pool.parallel_for ~chunk:1 dim (fun j ->
-            let pairs =
-              Array.init (Array.length recv) (fun i ->
-                  (xs.(i), (snd recv.(i)).(j)))
-            in
-            match RS.decode ~algorithm ?ctx ~suspects ~k:kdim pairs with
-            | None -> coord_ok.(j) <- false
-            | Some d ->
-              (* error positions (indices into [received]) *)
-              coord_errors.(j) <- d.RS.errors;
-              (* evaluate h_j at each ω *)
-              Array.iteri
-                (fun k v ->
-                  if j < sd then next_states.(k).(j) <- v
-                  else outputs.(k).(j - sd) <- v)
-                (Coding.eval_at_omegas t.coding d.RS.poly));
+        let run_coord (recv, xs, ctx, suspects) j =
+          let pairs =
+            Array.init (Array.length recv) (fun i ->
+                (xs.(i), (snd recv.(i)).(j)))
+          in
+          match RS.decode ~algorithm ?ctx ~suspects ~k:kdim pairs with
+          | None -> coord_ok.(j) <- false
+          | Some d ->
+            (* error nodes (positions mapped back through the order) *)
+            coord_errors.(j) <-
+              List.map (fun idx -> fst recv.(idx)) d.RS.errors;
+            (* evaluate h_j at each ω *)
+            Array.iteri
+              (fun k v ->
+                if j < sd then next_states.(k).(j) <- v
+                else outputs.(k).(j - sd) <- v)
+              (Coding.eval_at_omegas t.coding d.RS.poly)
+        in
+        let first = arrange t.suspects in
+        let rest =
+          if dim = 0 then first
+          else begin
+            run_coord first 0;
+            match (algorithm, coord_errors.(0)) with
+            | RS.Optimistic, (_ :: _ as blamed) -> arrange blamed
+            | _ -> first
+          end
+        in
+        Pool.parallel_for ~chunk:1 (max 0 (dim - 1)) (fun j ->
+            run_coord rest (j + 1));
         if Array.for_all (fun x -> x) coord_ok then begin
-          let errors = ref [] in
-          Array.iter
-            (fun idxs ->
-              List.iter
-                (fun idx ->
-                  let node, _ = recv.(idx) in
-                  if not (List.mem node !errors) then errors := node :: !errors)
-                idxs)
-            coord_errors;
-          Some
-            { next_states; outputs; error_nodes = List.sort Int.compare !errors }
+          let errors =
+            List.sort_uniq Int.compare
+              (List.concat (Array.to_list coord_errors))
+          in
+          t.suspects <- errors;
+          Some { next_states; outputs; error_nodes = errors }
         end
         else None))
 

@@ -16,9 +16,16 @@ module Make (F : Field_intf.S) : sig
     mutable coded_states : F.t array array;
     mutable round_index : int;
     mutable rs_ctx : (F.t array * RS.fast_ctx) option;
-        (** cached optimistic-decode precomputation (prepared subproduct
-            trees), keyed by the received-point set — rebuilt only when
-            the set of reporting nodes changes *)
+        (** cached optimistic-decode precomputation (the Lagrange
+            interpolation rows over the first k points and the
+            Vandermonde rows over the rest), keyed by the ordered
+            received-point set — rebuilt only when the reporting nodes
+            or their order change *)
+    mutable suspects : int list;
+        (** nodes the last successful decode attributed errors to: the
+            optimistic decoder orders their results last, so the
+            interpolation head is honest and their lies are corrected at
+            fast-path cost.  Local to this engine. *)
   }
 
   val result_dim : t -> int
@@ -52,9 +59,13 @@ module Make (F : Field_intf.S) : sig
   (** Noisy-interpolation decoding of received (node, gᵢ) results;
       [None] when any coordinate exceeds the decoding radius.  The
       algorithm defaults to [RS.Optimistic], which reuses the
-      engine-cached [rs_ctx] across coordinates and rounds and passes
+      engine-cached [rs_ctx] across coordinates and rounds, orders the
+      engine's [suspects] last (and, when coordinate 0 corrects errors,
+      that coordinate's error nodes last for the others), and passes
       nodes with accumulated csm_node_suspicion as erasure candidates
-      for the decoder's last resort. *)
+      for the decoder's last resort.  The order changes only the cost:
+      the decoded record equals [RS.Gao]'s.  On success the error nodes
+      become the engine's [suspects]. *)
 
   val node_update_state :
     ?scope:Scope.t -> t -> node:int -> next_states:F.t array array -> unit

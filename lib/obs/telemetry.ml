@@ -81,9 +81,10 @@ let rs_fastpath ~outcome =
   Metric.counter
     ~help:
       "Optimistic Reed-Solomon decode attempts, by outcome (hit = \
-       candidate verified on every received point; fallback = full Gao \
-       decode ran; erasure = suspicion-guided erasure decode recovered \
-       after Gao failed)"
+       candidate verified on every received point; corrected = \
+       candidate accepted with at most (n-k)/2 disagreeing points; \
+       fallback = full Gao decode ran; erasure = suspicion-guided \
+       erasure decode recovered after Gao failed)"
     ~labels:[ ("outcome", outcome) ]
     "csm_rs_fastpath_total"
 

@@ -12,15 +12,18 @@
    - Gao: partial extended Euclid on (∏(z−xᵢ), interpolant), O(n²)
      with fast interpolation;
    - optimistic: interpolate the first k received points with a
-     precomputed Lagrange coefficient matrix, verify the candidate
-     against the remaining points with precomputed Vandermonde rows
-     (the certificate set τ of equation (9) must be everything), and
-     only on a mismatch fall back to Gao and then — when the caller has
+     precomputed Lagrange coefficient matrix and evaluate the candidate
+     at the remaining points with precomputed Vandermonde rows; accept
+     it when at most ⌊(n−k)/2⌋ of them disagree (the certificate set τ
+     of equation (9) is then Gao's, by unique decoding).  Only past
+     that count does it fall back to Gao and then — when the caller has
      accumulated per-node suspicion — to erasure-assisted decoding with
-     the suspects pre-erased.  The fault-free round therefore costs n
-     dot products of length k instead of a full error decode, run on
-     the byte-packed batch kernels when the field provides them; the
-     matrices are round-independent (Remark 4) and can be cached by the
+     the suspects pre-erased.  A round whose first k points are honest
+     therefore costs n dot products of length k instead of a full error
+     decode, however many of the other points lie (up to the radius),
+     run on the byte-packed batch kernels when the field provides them.
+     Callers that know the liars put them last; the matrices depend
+     only on the ordered points (Remark 4) and can be cached by the
      caller via [prepare_fast].
 
    [decode] runs the optimistic decoder unless the caller pins Gao, the
@@ -235,16 +238,20 @@ module Make (F : Field_intf.S) = struct
     if Metric.enabled () then
       Metric.inc (Csm_obs.Telemetry.rs_fastpath ~outcome)
 
-  (* Optimistic decode: interpolate the first k received points, accept
-     immediately when the candidate explains every point (zero errors —
-     the common fault-free round), otherwise run the full error decoder,
-     and as a last resort erase the [suspects] (indices into [pairs],
-     e.g. nodes with accumulated decoder suspicion) and decode the
-     shortened code.  Within the unique-decoding radius the result is
-     identical to [decode_gao] (the fast path only ever accepts a
-     zero-error full agreement, which Gao also finds); the erasure last
-     resort extends the reach beyond that radius under the
-     erasure-and-error certificate 2e + s <= n − k. *)
+  (* Optimistic decode: interpolate the first k received points and
+     evaluate the candidate at every tail point.  Accept it when it
+     disagrees with at most e = ⌊(n−k)/2⌋ of them: two distinct
+     polynomials of degree < k cannot both lie within distance e of the
+     received word, so the candidate is then exactly Gao's codeword, with
+     the same agreement set τ and ascending error positions.  The walk
+     stops at the (e+1)-th mismatch, and only then does the full error
+     decoder run; as a last resort the [suspects] (indices into [pairs],
+     e.g. nodes with accumulated decoder suspicion) are erased and the
+     shortened code decoded.  A head of honest points therefore corrects
+     up to e errors at the cost of a clean round, which is why callers
+     that know the liars put them last.  The erasure last resort extends
+     the reach beyond the radius under the erasure-and-error
+     certificate 2e + s <= n − k. *)
   let decode_optimistic ?ctx ?(suspects = []) ~k pairs =
     let n = Array.length pairs in
     if n < k || k < 1 then None
@@ -254,14 +261,14 @@ module Make (F : Field_intf.S) = struct
         | Some c when ctx_matches c ~k (Array.map fst pairs) -> c
         | _ -> prepare_fast ~k (Array.map fst pairs)
       in
+      let e_max = max_errors ~n ~k in
       let candidate =
         Csm_obs.Span.with_ ~name:"rs.fastpath" (fun () ->
             let head = Array.init k (fun i -> snd pairs.(i)) in
             (* n dot products of length k: interpolate through the
-               head, then walk the tail Vandermonde rows, bailing at
-               the first disagreeing point.  The scalar loop and the
-               byte-packed kernels charge identical op counts, so
-               ledgers are backend-independent. *)
+               head, then evaluate the tail Vandermonde rows.  The
+               scalar loop and the byte-packed kernels charge identical
+               op counts, so ledgers are backend-independent. *)
             let scalar_dot row v =
               let acc = ref F.zero in
               for j = 0 to Array.length row - 1 do
@@ -269,7 +276,7 @@ module Make (F : Field_intf.S) = struct
               done;
               !acc
             in
-            let coeffs, ok =
+            let coeffs, tail_value =
               match (F.batch (), ctx.fc_interp_b, ctx.fc_vand_b) with
               | Some b, Some irows, Some vrows ->
                 let hv = b.Field_intf.pack head in
@@ -277,42 +284,32 @@ module Make (F : Field_intf.S) = struct
                   Array.map (fun row -> b.Field_intf.dot row hv) irows
                 in
                 let cv = b.Field_intf.pack coeffs in
-                let ok = ref true and j = ref 0 in
-                while !ok && !j < Array.length vrows do
-                  if
-                    F.equal (b.Field_intf.dot vrows.(!j) cv)
-                      (snd pairs.(k + !j))
-                  then incr j
-                  else ok := false
-                done;
-                (coeffs, !ok)
+                (coeffs, fun j -> b.Field_intf.dot vrows.(j) cv)
               | _ ->
                 let coeffs =
                   Array.map (fun row -> scalar_dot row head) ctx.fc_interp
                 in
-                let ok = ref true and j = ref 0 in
-                while !ok && !j < Array.length ctx.fc_vand do
-                  if
-                    F.equal
-                      (scalar_dot ctx.fc_vand.(!j) coeffs)
-                      (snd pairs.(k + !j))
-                  then incr j
-                  else ok := false
-                done;
-                (coeffs, !ok)
+                (coeffs, fun j -> scalar_dot ctx.fc_vand.(j) coeffs)
             in
-            if ok then
-              Some
-                {
-                  poly = P.normalize coeffs;
-                  agreement = List.init n Fun.id;
-                  errors = [];
-                }
-            else None)
+            (* [agree] and [errs] are built in reverse *)
+            let rec walk i agree errs nerr =
+              if nerr > e_max then None
+              else if i = n then
+                Some
+                  {
+                    poly = P.normalize coeffs;
+                    agreement = List.rev agree;
+                    errors = List.rev errs;
+                  }
+              else if F.equal (tail_value (i - k)) (snd pairs.(i)) then
+                walk (i + 1) (i :: agree) errs nerr
+              else walk (i + 1) agree (i :: errs) (nerr + 1)
+            in
+            walk k (List.rev (List.init k Fun.id)) [] 0)
       in
       match candidate with
       | Some d ->
-        record_fastpath "hit";
+        record_fastpath (if d.errors = [] then "hit" else "corrected");
         Some d
       | None -> (
         match decode_gao ~k pairs with

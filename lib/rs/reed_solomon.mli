@@ -34,9 +34,10 @@ module Make (F : Field_intf.S) : sig
 
   type fast_ctx
   (** Round-independent precomputation for the optimistic decoder over a
-      fixed received-point set (prepared subproduct trees over the first
-      k points and over all points — the Remark-4 argument).  Safe to
-      share across domains once built. *)
+      fixed, ordered received-point set (the Lagrange interpolation rows
+      over the first k points and the Vandermonde rows over the rest —
+      the Remark-4 argument).  Safe to share across domains once
+      built. *)
 
   val prepare_fast : k:int -> F.t array -> fast_ctx
   (** @raise Invalid_argument when the point set is shorter than k. *)
@@ -48,15 +49,18 @@ module Make (F : Field_intf.S) : sig
     (F.t * F.t) array ->
     decoded option
   (** Optimistic fast path: interpolate the first k received points and
-      accept when the candidate explains {e every} point (the
-      certificate set τ of eq. (9) is everything — the fault-free
-      round), else fall back to [decode_gao], and finally — when
-      [suspects] (indices into the pair array) is nonempty — to
-      erasure-assisted decoding with the suspects pre-erased, always
-      re-validated against the full pair set.  Agrees with [decode_gao]
-      on every input within the unique-decoding radius.  A [ctx]
-      that does not match the pairs' points is ignored (a fresh one is
-      built), so a stale cache can never corrupt a decode. *)
+      accept when the candidate disagrees with at most ⌊(n−k)/2⌋ of the
+      others (zero disagreements: the fault-free round), else fall back
+      to [decode_gao], and finally — when [suspects] (indices into the
+      pair array) is nonempty — to erasure-assisted decoding with the
+      suspects pre-erased, always re-validated against the full pair
+      set.  An accepted candidate is Gao's codeword, with the same
+      [poly], [agreement] and [errors]; the fast path accepts it
+      whenever the first k points are correct, so callers order
+      suspected liars last.  Agrees with [decode_gao] on every input
+      within the unique-decoding radius.  A [ctx] that does not match
+      the pairs' points is ignored (a fresh one is built), so a stale
+      cache can never corrupt a decode. *)
 
   type algorithm =
     | Gao  (** the full error decoder on every call: the reference *)

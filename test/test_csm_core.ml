@@ -312,6 +312,103 @@ let engine_decoder_agnostic () =
     done
   | _ -> Alcotest.fail "engine decode failed"
 
+(* A persistent liar is corrected at fast-path cost.  Node 1 shifts
+   every coordinate of its result in every round and sits inside the
+   natural interpolation head.  Each round's optimistic decode must
+   equal Gao's, and from round 1 on — with node 1 ordered last — must
+   cost no more than a cold fault-free decode, i.e. the warm fault-free
+   decode plus one [prepare_fast].  Both at pool widths 1 and 4. *)
+let persistent_liar_fast_path () =
+  let module CF = Counted.Make (F) in
+  let module EC = Engine.Make (CF) in
+  let module Pool = Csm_parallel.Pool in
+  let module Ledger = Csm_metrics.Ledger in
+  let module Scope = Csm_metrics.Scope in
+  let n = 16 and k = 4 and d = 2 and b = 3 and liar = 1 in
+  let params = Params.make ~network:Params.Sync ~n ~k ~d ~b in
+  let machine = EC.M.register_bank ~slots:3 in
+  let decode_ops e received =
+    let ledger = Ledger.create () in
+    let scope = Scope.of_ledger (module CF) ledger in
+    let dec = EC.decode_results ~scope e received in
+    (dec, Ledger.grand_total ledger)
+  in
+  let same (a : EC.decoded option) (b : EC.decoded option) =
+    let mat x y =
+      Array.length x = Array.length y
+      && Array.for_all2
+           (fun u v ->
+             Array.length u = Array.length v && Array.for_all2 CF.equal u v)
+           x y
+    in
+    match (a, b) with
+    | Some a, Some b ->
+      mat a.EC.next_states b.EC.next_states
+      && mat a.EC.outputs b.EC.outputs
+      && a.EC.error_nodes = b.EC.error_nodes
+    | _ -> false
+  in
+  (* per-round op counts of the optimistic decode *)
+  let run width =
+    Pool.with_domain_limit width (fun () ->
+        let r = Csm_rng.create 0x11A4 in
+        let init =
+          Array.init k (fun _ ->
+              Array.init machine.EC.M.state_dim (fun _ -> CF.random r))
+        in
+        let results e ~lie =
+          let cmds =
+            Array.init k (fun _ ->
+                Array.init machine.EC.M.input_dim (fun _ -> CF.random r))
+          in
+          List.init n (fun i ->
+              let g =
+                EC.node_compute e ~node:i
+                  ~coded_command:
+                    (EC.node_encode_command e ~node:i ~commands:cmds)
+              in
+              if lie && i = liar then
+                ( i,
+                  Option.get
+                    (EC.corrupt_result e (Strategy.Shift 1) ~node:i ~round:0
+                       ~observer:0 g) )
+              else (i, g))
+        in
+        (* the bound: a cold fault-free decode on a fresh engine *)
+        let cold =
+          let e = EC.create ~machine ~params ~init in
+          snd (decode_ops e (results e ~lie:false))
+        in
+        let e = EC.create ~machine ~params ~init in
+        let reference = EC.create ~machine ~params ~init in
+        List.init 10 (fun round ->
+            let received = results e ~lie:true in
+            let dec, ops = decode_ops e received in
+            let gao =
+              EC.decode_results ~algorithm:EC.RS.Gao reference received
+            in
+            if not (same dec gao) then
+              Alcotest.failf "width %d round %d: optimistic differs from Gao"
+                width round;
+            let dec = Option.get dec in
+            Alcotest.(check (list int)) "liar blamed" [ liar ]
+              dec.EC.error_nodes;
+            if round > 0 && ops > cold then
+              Alcotest.failf "width %d round %d: %d ops > cold fault-free %d"
+                width round ops cold;
+            for i = 0 to n - 1 do
+              EC.node_update_state e ~node:i ~next_states:dec.EC.next_states
+            done;
+            ops))
+  in
+  let old = Pool.domains () in
+  Pool.set_domains 4;
+  Fun.protect
+    ~finally:(fun () -> Pool.set_domains old)
+    (fun () ->
+      let w1 = run 1 in
+      Alcotest.(check (list int)) "op counts independent of width" w1 (run 4))
+
 (* The Boolean machine path: CSM over GF(2^10) executing the majority
    register, coded, under faults. *)
 let boolean_machine_coded () =
@@ -552,6 +649,8 @@ let suites =
           partial_sync_splits;
         Alcotest.test_case "storage efficiency = K" `Quick storage_efficiency;
         Alcotest.test_case "decoder agnostic" `Quick engine_decoder_agnostic;
+        Alcotest.test_case "persistent liar at fast-path cost" `Quick
+          persistent_liar_fast_path;
         Alcotest.test_case "boolean machine coded over GF(2^10)" `Quick
           boolean_machine_coded;
         Alcotest.test_case "register bank coded (KV workload)" `Quick

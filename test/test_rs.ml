@@ -298,6 +298,96 @@ let optimistic_erasure_rescue () =
         Alcotest.fail "wrong-suspicion erasure wrong poly"
   done
 
+(* The error-tolerant certificate: whatever order the points arrive
+   in — the liars last, a wrong guess, or no suspicion at all — the
+   optimistic decoder returns exactly Gao's decode: polynomial,
+   agreement set and ascending error positions. *)
+let qcheck_optimistic_equals_gao =
+  QCheck.Test.make ~name:"optimistic = Gao under any suspect order"
+    ~count:200
+    QCheck.(
+      quad (int_range 1 8) (int_range 0 16) (int_range 0 2)
+        (int_range 0 1_000_000))
+    (fun (k, extra, order, seed) ->
+      let r = Csm_rng.create (0x0DE7 + seed) in
+      let n = k + extra in
+      let e_max = RS.max_errors ~n ~k in
+      let msg =
+        if k = 1 then P.constant (F.random r) else P.random r ~degree:(k - 1)
+      in
+      let pts =
+        Array.map (fun i -> F.of_int (i + 1)) (Csm_rng.sample r ~n:(4 * n) ~k:n)
+      in
+      let word = RS.encode ~message:msg ~points:pts in
+      let corrupted, positions =
+        RS.corrupt r ~count:(Csm_rng.int r (e_max + 1)) word
+      in
+      let suspects =
+        match order with
+        | 0 -> positions
+        | 1 ->
+          (* a random guess, usually wrong *)
+          Array.to_list (Csm_rng.sample r ~n ~k:(Csm_rng.int r (e_max + 1)))
+        | _ -> []
+      in
+      (* the suspects last, each side in index order *)
+      let late, early =
+        List.partition (fun i -> List.mem i suspects) (List.init n Fun.id)
+      in
+      let pairs =
+        Array.of_list
+          (List.map (fun i -> (pts.(i), corrupted.(i))) (early @ late))
+      in
+      let ctx = RS.prepare_fast ~k (Array.map fst pairs) in
+      match (RS.decode_optimistic ~ctx ~k pairs, RS.decode_gao ~k pairs) with
+      | Some o, Some g ->
+        P.equal o.RS.poly msg
+        && P.equal o.RS.poly g.RS.poly
+        && o.RS.agreement = g.RS.agreement
+        && o.RS.errors = g.RS.errors
+      | _ -> false)
+
+(* Each optimistic outcome is counted under its own label: a clean word
+   is a [hit], lies outside the interpolation head are [corrected]
+   without Gao, a lie inside the head forces a Gao [fallback]. *)
+let optimistic_outcome_counters () =
+  let module Metric = Csm_obs.Metric in
+  let count outcome =
+    Metric.counter_value (Csm_obs.Telemetry.rs_fastpath ~outcome)
+  in
+  Metric.reset ();
+  Metric.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metric.disable ();
+      Metric.reset ())
+    (fun () ->
+      let k = 4 and n = 12 in
+      let msg = random_message k in
+      let pts = points n in
+      let word = RS.encode ~message:msg ~points:pts in
+      let ctx = RS.prepare_fast ~k pts in
+      let expect_decode ~lie_at =
+        let w = Array.copy word in
+        List.iter (fun i -> w.(i) <- F.add w.(i) F.one) lie_at;
+        match RS.decode ~ctx ~k (Array.map2 (fun x y -> (x, y)) pts w) with
+        | None -> Alcotest.fail "decode failed within radius"
+        | Some d ->
+          if not (P.equal d.RS.poly msg) then Alcotest.fail "wrong poly";
+          Alcotest.(check (list int)) "errors" lie_at d.RS.errors
+      in
+      let counts () =
+        List.map count [ "hit"; "corrected"; "fallback"; "erasure" ]
+      in
+      expect_decode ~lie_at:[];
+      Alcotest.(check (list int)) "clean: hit" [ 1; 0; 0; 0 ] (counts ());
+      expect_decode ~lie_at:[ 9; 11 ];
+      Alcotest.(check (list int)) "tail lies: corrected" [ 1; 1; 0; 0 ]
+        (counts ());
+      expect_decode ~lie_at:[ 1 ];
+      Alcotest.(check (list int)) "head lie: fallback" [ 1; 1; 1; 0 ]
+        (counts ()))
+
 (* ----- syndrome decoder (BM + Chien) on classical points ----- *)
 
 module BM = Bm.Make (F)
@@ -476,6 +566,9 @@ let suites =
           optimistic_fallback_matches_gao;
         Alcotest.test_case "suspicion-guided erasure rescue" `Quick
           optimistic_erasure_rescue;
+        QCheck_alcotest.to_alcotest ~long:false qcheck_optimistic_equals_gao;
+        Alcotest.test_case "fast-path outcome counters" `Quick
+          optimistic_outcome_counters;
         QCheck_alcotest.to_alcotest ~long:false qcheck_cross_decoder;
         Alcotest.test_case "all decoders refuse beyond radius" `Quick
           all_none_beyond_radius;
